@@ -1,0 +1,203 @@
+/// Training golden gate: trains a QPPNet on a small sysbench fixture, then
+/// warm-start retrains it, and asserts 64-bit FNV-1a hashes of every
+/// parameter, the full model state (parameters, scalers, Adam step count
+/// and first/second moments, RNG position) and the loss curve against
+/// values recorded from a reference trainer. Any change to the training
+/// arithmetic — reduction order, kernel chains, loss seeding — shows up
+/// here as a hash mismatch, so a trainer rewrite that claims bit identity
+/// must leave these constants untouched.
+///
+/// Each case pins one ISA tier and one chunk width (the gradient reduction
+/// order) and must hash identically at 1, 2 and 4 threads.
+
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "models/qppnet.h"
+#include "nn/kernels.h"
+#include "util/serialize.h"
+#include "util/thread_pool.h"
+#include "workload/benchmark.h"
+#include "workload/collector.h"
+
+namespace qcfe {
+namespace {
+
+uint64_t Fnv1a(const void* data, size_t n, uint64_t h) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+constexpr uint64_t kFnvBasis = 14695981039346656037ULL;
+
+/// Hashes of one trained-then-retrained model.
+struct TrainHashes {
+  uint64_t params = 0;  ///< every parameter matrix, logical elements only
+  uint64_t state = 0;   ///< SaveState bytes: params, scalers, Adam, RNG
+  uint64_t loss = 0;    ///< both loss curves, in order
+
+  bool operator==(const TrainHashes& o) const {
+    return params == o.params && state == o.state && loss == o.loss;
+  }
+};
+
+std::string Describe(const TrainHashes& h) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf),
+                "{0x%016" PRIx64 "ULL, 0x%016" PRIx64 "ULL, 0x%016" PRIx64
+                "ULL}",
+                h.params, h.state, h.loss);
+  return buf;
+}
+
+/// Sysbench at a small scale, two environments, 200 collected plans.
+class TrainGoldenTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    auto bench = MakeBenchmark("sysbench");
+    db_ = (*bench)->BuildDatabase(0.05, 211).release();
+    envs_ = new std::vector<Environment>(
+        EnvironmentSampler::Sample(2, HardwareProfile::H1(), 223));
+    QueryCollector collector(db_, envs_);
+    auto set = collector.Collect((*bench)->Templates(), 200, 227);
+    ASSERT_TRUE(set.ok());
+    corpus_ = new LabeledQuerySet(std::move(set.value()));
+    featurizer_ = new BaseFeaturizer(db_->catalog());
+  }
+
+  /// Trains 5 epochs on the first 160 plans, then warm-start retrains 3
+  /// epochs on the last 80 (an overlapping window, like an adaptation
+  /// retrain), and hashes the result.
+  static TrainHashes TrainAndHash(size_t chunk_size, ThreadPool* pool) {
+    std::vector<PlanSample> first, second;
+    const auto& qs = corpus_->queries;
+    for (size_t i = 0; i < qs.size(); ++i) {
+      PlanSample s{qs[i].plan.get(), qs[i].env_id, qs[i].total_ms};
+      if (i < 160) first.push_back(s);
+      if (i + 80 >= qs.size()) second.push_back(s);
+    }
+    QppNet model(featurizer_, QppNetConfig{}, 229);
+    model.set_thread_pool(pool);
+    TrainConfig cfg;
+    cfg.epochs = 5;
+    cfg.batch_size = 32;
+    cfg.seed = 233;
+    cfg.chunk_size = chunk_size;
+    TrainStats s1, s2;
+    EXPECT_TRUE(model.Train(first, cfg, &s1).ok());
+    cfg.epochs = 3;
+    cfg.seed = 239;
+    EXPECT_TRUE(model.Train(second, cfg, &s2).ok());
+
+    TrainHashes h;
+    h.params = kFnvBasis;
+    for (Matrix* p : model.Params()) {
+      for (size_t r = 0; r < p->rows(); ++r) {
+        h.params = Fnv1a(p->RowPtr(r), p->cols() * sizeof(double), h.params);
+      }
+    }
+    ByteWriter w;
+    EXPECT_TRUE(model.SaveState(&w).ok());
+    h.state = Fnv1a(w.bytes().data(), w.bytes().size(), kFnvBasis);
+    h.loss = kFnvBasis;
+    for (const TrainStats* s : {&s1, &s2}) {
+      h.loss = Fnv1a(s->loss_curve.data(),
+                     s->loss_curve.size() * sizeof(double), h.loss);
+    }
+    return h;
+  }
+
+  /// Trains under `isa` (auto dispatch) with `chunk_size` at 1, 2 and 4
+  /// threads; every run must match `expected`.
+  static void CheckCase(kernels::KernelIsa isa, size_t chunk_size,
+                        const TrainHashes& expected) {
+    kernels::ScopedKernelIsa pin(isa);
+    kernels::ScopedKernelMode mode_pin(kernels::KernelMode::kAuto);
+    ThreadPool two(2), four(4);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &two, &four}) {
+      const size_t threads = pool == nullptr ? 1 : pool->num_workers();
+      TrainHashes got = TrainAndHash(chunk_size, pool);
+      EXPECT_TRUE(got == expected)
+          << kernels::KernelIsaName(isa) << " chunk_size=" << chunk_size
+          << " threads=" << threads << ": got " << Describe(got)
+          << ", expected " << Describe(expected);
+    }
+  }
+
+  static Database* db_;
+  static std::vector<Environment>* envs_;
+  static LabeledQuerySet* corpus_;
+  static BaseFeaturizer* featurizer_;
+};
+
+Database* TrainGoldenTest::db_ = nullptr;
+std::vector<Environment>* TrainGoldenTest::envs_ = nullptr;
+LabeledQuerySet* TrainGoldenTest::corpus_ = nullptr;
+BaseFeaturizer* TrainGoldenTest::featurizer_ = nullptr;
+
+// Recorded from the per-node trainer (one 1-row unit forward/backward per
+// plan node, per-chunk gradient sinks merged in chunk order).
+constexpr TrainHashes kScalarAuto = {
+    0xe8076c8f9552f2c8ULL, 0xd3b1fb7a0b07942aULL, 0xd12a5f895c1ec57eULL};
+constexpr TrainHashes kScalarChunk1 = {
+    0x447250da247c728eULL, 0xc64ac0f751911240ULL, 0x018e19f67f769ce8ULL};
+constexpr TrainHashes kScalarChunk7 = {
+    0x4e2ded56f3ed4e81ULL, 0x3df7aa16835ad07aULL, 0x0f58d46c3ca38e43ULL};
+constexpr TrainHashes kAvx2Auto = {
+    0x263cf9bc5f361aacULL, 0xbdb74ecc1cdbcd84ULL, 0x6117795dc4243186ULL};
+constexpr TrainHashes kAvx2Chunk1 = {
+    0x4f55b1fe171b69d8ULL, 0xab713bcd5066afd4ULL, 0x8e23eac235b1a182ULL};
+constexpr TrainHashes kAvx2Chunk7 = {
+    0x9d7b1ff2120a3fbaULL, 0x5d5f772995b899e9ULL, 0xea1d7852939d7477ULL};
+
+TEST_F(TrainGoldenTest, ScalarTierMatchesRecordedHashes) {
+  CheckCase(kernels::KernelIsa::kScalar, 0, kScalarAuto);
+  CheckCase(kernels::KernelIsa::kScalar, 1, kScalarChunk1);
+  CheckCase(kernels::KernelIsa::kScalar, 7, kScalarChunk7);
+}
+
+TEST_F(TrainGoldenTest, Avx2TierMatchesRecordedHashes) {
+  if (!kernels::KernelIsaAvailable(kernels::KernelIsa::kAvx2)) {
+    GTEST_SKIP() << "AVX2 tier not available on this machine";
+  }
+  CheckCase(kernels::KernelIsa::kAvx2, 0, kAvx2Auto);
+  CheckCase(kernels::KernelIsa::kAvx2, 1, kAvx2Chunk1);
+  CheckCase(kernels::KernelIsa::kAvx2, 7, kAvx2Chunk7);
+}
+
+// Dispatch never changes bits within a tier: the dense and sparse pins
+// reproduce the tier's hashes, and the reference pin (scalar arithmetic in
+// every tier) reproduces the scalar tier's.
+TEST_F(TrainGoldenTest, KernelModesMatchRecordedHashes) {
+  using kernels::KernelIsa;
+  using kernels::KernelMode;
+  for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
+    if (!kernels::KernelIsaAvailable(isa)) continue;
+    kernels::ScopedKernelIsa pin(isa);
+    const TrainHashes& tier = isa == KernelIsa::kScalar ? kScalarAuto
+                                                        : kAvx2Auto;
+    for (KernelMode mode :
+         {KernelMode::kDense, KernelMode::kSparse, KernelMode::kReference}) {
+      kernels::ScopedKernelMode mode_pin(mode);
+      const TrainHashes& expected =
+          mode == KernelMode::kReference ? kScalarAuto : tier;
+      TrainHashes got = TrainAndHash(0, nullptr);
+      EXPECT_TRUE(got == expected)
+          << kernels::KernelIsaName(isa) << " mode=" << static_cast<int>(mode)
+          << ": got " << Describe(got) << ", expected " << Describe(expected);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace qcfe
