@@ -980,13 +980,17 @@ BENCHMARK(BM_PipelineFitThreads)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
-/// Chunk-parallel gradient training at a given worker count: a fresh
-/// estimator per iteration, trained for a fixed epoch budget through the
-/// attached pool. All thread counts produce bit-identical models (fixed
-/// chunk partition + chunk-order sink reduction), so the sweep isolates
-/// pure wall-clock scaling of Train itself.
+/// Gradient training at a given worker count: a fresh estimator per
+/// iteration, trained for a fixed epoch budget through the attached pool.
+/// All thread counts produce bit-identical models (fixed chunk partition +
+/// chunk-order reduction), so the sweep isolates pure wall-clock scaling of
+/// Train itself. MSCN backprops a batch's chunks across the pool; QPPNet's
+/// wave-batched trainer runs each batch inline and uses the pool only to
+/// encode plans. The *Threads rows report wall time (UseRealTime):
+/// main-thread CPU time would leave out the work done by pool workers.
 template <const char* kModel>
 void BM_TrainThreads(benchmark::State& state) {
   MicroFixture& f = MicroFixture::Get();
@@ -1040,26 +1044,30 @@ BENCHMARK_TEMPLATE(BM_TrainThreads, kQppName)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK_TEMPLATE(BM_TrainThreads, kMscnName)
     ->Name("BM_MscnTrainThreads")
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 BENCHMARK_TEMPLATE(BM_PredictBatchThreads, kQppName)
     ->Name("BM_QppNetPredictBatchThreads")
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
-    ->Arg(8);
+    ->Arg(8)
+    ->UseRealTime();
 BENCHMARK_TEMPLATE(BM_PredictBatchThreads, kMscnName)
     ->Name("BM_MscnPredictBatchThreads")
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
-    ->Arg(8);
+    ->Arg(8)
+    ->UseRealTime();
 BENCHMARK_TEMPLATE(BM_TrainKernelMode, kQppName)
     ->Name("BM_QppNetTrainKernelMode")
     ->Arg(0)

@@ -44,6 +44,9 @@ void AdaptationController::OnObservation(const PlanNode& plan, int env_id,
                                          double predicted_ms,
                                          double actual_ms) {
   sink_.OnObservation(plan, env_id, predicted_ms, actual_ms);
+  // The sink drops (and counts) unusable latencies; they must not advance
+  // the evaluation cadence either.
+  if (!ValidObservation(predicted_ms, actual_ms)) return;
   // Sample-count epochs: evaluate this environment's window every Nth of
   // its observations. The cumulative count is stable across window clears,
   // so the cadence never resets.

@@ -25,6 +25,11 @@ ObservationSink::ObservationSink(const ObservationWindowConfig& config)
 
 void ObservationSink::OnObservation(const PlanNode& plan, int env_id,
                                     double predicted_ms, double actual_ms) {
+  if (!ValidObservation(predicted_ms, actual_ms)) {
+    MutexLock lock(&mu_);
+    ++dropped_;
+    return;
+  }
   const double q = QError(actual_ms, predicted_ms);
   // Materialize the training view of this observation before taking the
   // lock: a deep clone with every node latency rescaled so the subtree
@@ -111,6 +116,11 @@ uint64_t ObservationSink::EnvObservations(int env_id) const {
   MutexLock lock(&mu_);
   auto it = windows_.find(env_id);
   return it == windows_.end() ? 0 : it->second.total;
+}
+
+uint64_t ObservationSink::DroppedObservations() const {
+  MutexLock lock(&mu_);
+  return dropped_;
 }
 
 std::vector<int> ObservationSink::EnvIds() const {

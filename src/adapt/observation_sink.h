@@ -74,6 +74,9 @@ class ObservationSink : public ObservationListener {
   /// latencies rescaled by actual_ms / SubtreeLatencyMs(plan) — into the
   /// labeled ring. The plan is not retained past this call; the clone is
   /// owned by the sink (and by any outstanding LabeledSamples snapshot).
+  /// Latencies that ValidObservation rejects (non-finite or non-positive)
+  /// touch neither ring nor any per-environment counter; they are counted
+  /// in DroppedObservations instead.
   void OnObservation(const PlanNode& plan, int env_id, double predicted_ms,
                      double actual_ms) override;
 
@@ -98,6 +101,9 @@ class ObservationSink : public ObservationListener {
   /// ring wrap-around or ClearWindows).
   uint64_t TotalObservations() const;
   uint64_t EnvObservations(int env_id) const;
+
+  /// Observations rejected by ValidObservation, cumulative.
+  uint64_t DroppedObservations() const;
 
   /// Environment ids ever observed, ascending.
   std::vector<int> EnvIds() const;
@@ -126,6 +132,7 @@ class ObservationSink : public ObservationListener {
   std::vector<LabeledEntry> labels_ QCFE_GUARDED_BY(mu_);
   size_t label_next_ QCFE_GUARDED_BY(mu_) = 0;
   uint64_t label_total_ QCFE_GUARDED_BY(mu_) = 0;
+  uint64_t dropped_ QCFE_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace adapt

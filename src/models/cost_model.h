@@ -38,13 +38,16 @@ struct TrainConfig {
   size_t batch_size = 32;
   double learning_rate = 1e-3;
   uint64_t seed = 1;
-  /// Samples per data-parallel gradient chunk. Each optimizer batch is cut
-  /// into fixed chunks of this width; chunks backprop concurrently into
-  /// private GradSinks across the model's thread pool and merge in chunk
-  /// index order. The partition depends only on batch_size and the
-  /// resolved chunk_size — never on the worker count — so the fitted model
-  /// is bit-identical at any thread count; chunk_size only trades
-  /// scheduling granularity against per-chunk accumulator overhead.
+  /// Samples per gradient chunk: the order in which parameter gradients
+  /// are summed. Each optimizer batch is cut into fixed chunks of this
+  /// width; each chunk's gradients are summed from zero, and the chunk sums
+  /// are added onto the optimizer-bound gradients in chunk index order.
+  /// The partition depends only on batch_size and the resolved chunk_size
+  /// — never on the worker count — so the fitted model is bit-identical at
+  /// any thread count. MSCN also backprops the chunks of a batch
+  /// concurrently across the model's thread pool; QPPNet's wave-batched
+  /// trainer runs a whole batch at once, and the width only fixes its
+  /// summation order. Changing the width changes the trained model's bits.
   ///
   /// 0 (the default) autotunes: models derive the width from batch_size and
   /// the measured per-chunk sink-merge cost — the exact count of gradient
@@ -183,11 +186,14 @@ double SubtreeLatencyMs(const PlanNode& node);
 /// triple the forward's two flops per weight).
 constexpr double kTrainFlopsPerParam = 6.0;
 
-/// Resolves TrainConfig::chunk_size. Explicit widths pass through; 0
-/// (auto) picks the smallest chunk whose per-chunk sink overhead
-/// (`merge_cost_elems`, the gradient elements zeroed + merged per chunk)
-/// stays under a fixed fraction of the chunk's compute
-/// (`per_sample_cost_elems` per sample), clamped to [1, batch_size]. All
+/// Resolves TrainConfig::chunk_size, the width that sets the gradient
+/// reduction order (and, for MSCN, also its parallel grain). Explicit
+/// widths pass through; 0 (auto) picks the smallest chunk whose per-chunk
+/// sink overhead (`merge_cost_elems`, the gradient elements zeroed +
+/// merged per chunk) stays under a fixed fraction of the chunk's compute
+/// (`per_sample_cost_elems` per sample), clamped to [1, batch_size]. QPPNet
+/// no longer keeps per-chunk sinks, but still resolves its width with this
+/// cost model: the width is part of what makes a fitted model's bits. All
 /// inputs are deterministic element counts, so the resolved width — and
 /// with it the chunk partition and the trained model — is identical across
 /// runs and thread counts.

@@ -99,6 +99,8 @@ QppNet::EncodedPlan QppNet::EncodePlan(const PlanNode& plan, int env_id,
     for (const auto& c : n.children) {
       size_t child = walk(*c, depth + 1);
       encoded.nodes[index].children.push_back(child);
+      encoded.nodes[index].wave = std::max(encoded.nodes[index].wave,
+                                           encoded.nodes[child].wave + 1);
     }
     return index;
   };
@@ -123,25 +125,6 @@ Matrix QppNet::UnitInput(const EncodedPlan& plan, size_t node_index,
   return x;
 }
 
-void QppNet::UnitInputInto(const EncodedPlan& plan, size_t node_index,
-                           const std::vector<Mlp::Tape>& tapes,
-                           Matrix* x) const {
-  const EncodedNode& node = plan.nodes[node_index];
-  size_t d = config_.data_vector_dim;
-  size_t feat_dim = node.feats.size();
-  // ResetShape (zeroing) keeps absent-children slots at exactly 0.0, like
-  // the freshly constructed matrix UnitInput builds.
-  x->ResetShape(1, feat_dim + config_.max_children * d);
-  double* row = x->RowPtr(0);
-  for (size_t i = 0; i < feat_dim; ++i) row[i] = node.feats[i];
-  for (size_t c = 0; c < node.children.size() && c < config_.max_children;
-       ++c) {
-    const double* child_out =
-        tapes[node.children[c]].activations.back().RowPtr(0);
-    for (size_t i = 0; i < d; ++i) row[feat_dim + c * d + i] = child_out[i];
-  }
-}
-
 void QppNet::ForwardPlan(const EncodedPlan& plan,
                          std::vector<Matrix>* node_outputs) const {
   node_outputs->assign(plan.nodes.size(), Matrix());
@@ -155,52 +138,199 @@ void QppNet::ForwardPlan(const EncodedPlan& plan,
   }
 }
 
-double QppNet::TrainPlan(const EncodedPlan& plan, double inv_node_count,
-                         ChunkAccum* accum) const {
-  size_t d = config_.data_vector_dim;
-  size_t n = plan.nodes.size();
-  // Bottom-up forward recording one reused tape per node (children always
-  // have larger pre-order indices, so reverse order computes leaves first).
-  // Tapes, per-node gradients and the unit-input row all live in the
-  // chunk's scratch arena, so a warm accumulator runs the whole
-  // forward/backward without allocating.
-  if (accum->tapes.size() < n) accum->tapes.resize(n);
-  if (accum->node_grads.size() < n) accum->node_grads.resize(n);
-  std::vector<Mlp::Tape>& tapes = accum->tapes;
-  for (size_t ii = n; ii > 0; --ii) {
-    size_t i = ii - 1;
-    UnitInputInto(plan, i, tapes, &accum->unit_input);
-    units_[static_cast<size_t>(plan.nodes[i].op)]->Forward(accum->unit_input,
-                                                           &tapes[i]);
-  }
-
-  std::vector<Matrix>& grads = accum->node_grads;
-  for (size_t i = 0; i < n; ++i) grads[i].ResetShape(1, d);
-  double loss = 0.0;
-  // Pre-order: parents first, so parent-propagated gradients are complete
-  // before a node's own backward pass runs.
-  for (size_t i = 0; i < n; ++i) {
-    const EncodedNode& node = plan.nodes[i];
-    double err = tapes[i].activations.back().At(0, 0) - node.label_scaled;
-    loss += err * err;
-    grads[i].At(0, 0) += 2.0 * err * inv_node_count;
-
-    size_t oi = static_cast<size_t>(node.op);
-    if (!accum->touched[oi]) {
-      accum->sinks[oi].InitLike(units_[oi]->Grads());
-      accum->touched[oi] = true;
+void QppNet::WaveSchedule::Build(const std::vector<const EncodedPlan*>& plans) {
+  constexpr size_t kOps = kNumOpTypes;
+  node_base.resize(plans.size());
+  total_nodes = 0;
+  size_t max_wave = 0;
+  for (size_t p = 0; p < plans.size(); ++p) {
+    node_base[p] = total_nodes;
+    total_nodes += plans[p]->nodes.size();
+    for (const EncodedNode& node : plans[p]->nodes) {
+      max_wave = std::max(max_wave, node.wave);
     }
-    const Matrix& gx =
-        units_[oi]->Backward(grads[i], &tapes[i], &accum->sinks[oi]);
-    size_t feat_dim = node.feats.size();
+  }
+  // Counting sort on the (wave, op) key: count, turn counts into group
+  // start offsets, then place nodes in (plan, node) order.
+  const size_t keys = (max_wave + 1) * kOps;
+  cursor.assign(keys, 0);
+  for (const EncodedPlan* plan : plans) {
+    for (const EncodedNode& node : plan->nodes) {
+      ++cursor[node.wave * kOps + static_cast<size_t>(node.op)];
+    }
+  }
+  groups.clear();
+  size_t offset = 0;
+  for (size_t key = 0; key < keys; ++key) {
+    const size_t count = cursor[key];
+    if (count == 0) continue;
+    groups.push_back({static_cast<OpType>(key % kOps), key / kOps, offset,
+                      offset + count});
+    cursor[key] = offset;
+    offset += count;
+  }
+  nodes.resize(total_nodes);
+  for (size_t p = 0; p < plans.size(); ++p) {
+    const auto& plan_nodes = plans[p]->nodes;
+    for (size_t i = 0; i < plan_nodes.size(); ++i) {
+      const size_t key =
+          plan_nodes[i].wave * kOps + static_cast<size_t>(plan_nodes[i].op);
+      nodes[cursor[key]++] = {p, i};
+    }
+  }
+}
+
+void QppNet::BuildUnitInputs(const std::vector<const EncodedPlan*>& plans,
+                             const WaveSchedule& schedule, size_t g,
+                             const Matrix& outputs, Matrix* x) const {
+  const WaveSchedule::Group& group = schedule.groups[g];
+  const size_t d = config_.data_vector_dim;
+  const size_t feat_dim = featurizer_->dim(group.op);
+  // ResetShape (zeroing) keeps absent-children slots at exactly 0.0.
+  x->ResetShape(group.end - group.begin, feat_dim + config_.max_children * d);
+  for (size_t r = 0; r < x->rows(); ++r) {
+    const WaveSchedule::NodeRef ref = schedule.nodes[group.begin + r];
+    const EncodedNode& node = plans[ref.plan]->nodes[ref.node];
+    double* row = x->RowPtr(r);
+    std::copy(node.feats.begin(), node.feats.end(), row);
+    const size_t base = schedule.node_base[ref.plan];
     for (size_t c = 0; c < node.children.size() && c < config_.max_children;
          ++c) {
-      for (size_t k = 0; k < d; ++k) {
-        grads[node.children[c]].At(0, k) += gx.At(0, feat_dim + c * d + k);
+      const double* child = outputs.RowPtr(base + node.children[c]);
+      std::copy(child, child + d, row + feat_dim + c * d);
+    }
+  }
+}
+
+/// Per-batch scratch of RunBatch, reused across batches so steady-state
+/// training does not allocate.
+struct QppNet::TrainWorkspace {
+  WaveSchedule schedule;
+  std::vector<Mlp::Tape> tapes;  ///< one per schedule group
+  Matrix x;                      ///< unit-input scratch
+  Matrix grad;                   ///< group output-gradient scratch
+  Matrix outputs;                ///< per flat node: unit output row
+  Matrix node_grads;             ///< per flat node: parent contributions
+  std::vector<double> seeds;     ///< per flat node: 2 * err * inv
+  std::vector<Mlp::TapeRow> taped;  ///< per flat node: its tape row
+  std::array<std::vector<Mlp::TapeRow>, kNumOpTypes> rows;
+  std::array<std::vector<size_t>, kNumOpTypes> chunk_ends;
+  std::array<std::vector<Matrix*>, kNumOpTypes> grads;
+  std::vector<const double*> row_ptrs;
+};
+
+void QppNet::RunBatch(const std::vector<const EncodedPlan*>& plans,
+                      size_t chunk_size, double inv_node_count, bool reduce,
+                      TrainWorkspace* ws, std::vector<double>* chunk_losses) {
+  const size_t d = config_.data_vector_dim;
+  WaveSchedule& schedule = ws->schedule;
+  schedule.Build(plans);
+  const size_t num_groups = schedule.groups.size();
+  if (ws->tapes.size() < num_groups) ws->tapes.resize(num_groups);
+  const auto flat = [&](const WaveSchedule::NodeRef& ref) {
+    return schedule.node_base[ref.plan] + ref.node;
+  };
+
+  // Forward: one taped unit forward per (wave, op) group. Rows are
+  // independent, so each node's output equals its 1-row forward.
+  ws->outputs.ResetShapeUninitialized(schedule.total_nodes, d);
+  ws->taped.resize(schedule.total_nodes);
+  for (size_t g = 0; g < num_groups; ++g) {
+    const WaveSchedule::Group& group = schedule.groups[g];
+    BuildUnitInputs(plans, schedule, g, ws->outputs, &ws->x);
+    const Matrix& y = units_[static_cast<size_t>(group.op)]->Forward(
+        ws->x, &ws->tapes[g]);
+    for (size_t r = 0; r < y.rows(); ++r) {
+      const size_t f = flat(schedule.nodes[group.begin + r]);
+      const double* src = y.RowPtr(r);
+      std::copy(src, src + d, ws->outputs.RowPtr(f));
+      ws->taped[f] = {&ws->tapes[g], r};
+    }
+  }
+
+  // Loss and per-node seeds, summed in (chunk, plan, pre-order node) order.
+  const size_t num_chunks = (plans.size() + chunk_size - 1) / chunk_size;
+  chunk_losses->assign(num_chunks, 0.0);
+  ws->seeds.resize(schedule.total_nodes);
+  for (size_t c = 0; c < num_chunks; ++c) {
+    const size_t ce = std::min((c + 1) * chunk_size, plans.size());
+    double loss = 0.0;
+    for (size_t p = c * chunk_size; p < ce; ++p) {
+      const auto& nodes = plans[p]->nodes;
+      double plan_loss = 0.0;
+      for (size_t i = 0; i < nodes.size(); ++i) {
+        const size_t f = schedule.node_base[p] + i;
+        const double err = ws->outputs.At(f, 0) - nodes[i].label_scaled;
+        plan_loss += err * err;
+        ws->seeds[f] = 2.0 * err * inv_node_count;
+      }
+      loss += plan_loss;
+    }
+    (*chunk_losses)[c] = loss;
+  }
+
+  // Backward, top-down: a node's parent sits in a later wave, so its
+  // contribution is in node_grads before the node's own group runs. Each
+  // output gradient is built as 0 + parent contribution, then + seed.
+  ws->node_grads.ResetShape(schedule.total_nodes, d);
+  for (size_t g = num_groups; g > 0; --g) {
+    const WaveSchedule::Group& group = schedule.groups[g - 1];
+    const Mlp& unit = *units_[static_cast<size_t>(group.op)];
+    ws->grad.ResetShapeUninitialized(group.end - group.begin, d);
+    for (size_t r = 0; r < ws->grad.rows(); ++r) {
+      const size_t f = flat(schedule.nodes[group.begin + r]);
+      double* dst = ws->grad.RowPtr(r);
+      const double* src = ws->node_grads.RowPtr(f);
+      std::copy(src, src + d, dst);
+      dst[0] += ws->seeds[f];
+    }
+    // Leaves (wave 0) pass nothing down; other nodes need only the child
+    // slots of their input gradient.
+    const size_t feat_dim = featurizer_->dim(group.op);
+    const Matrix& gx = unit.BackwardDeltas(
+        ws->grad, &ws->tapes[g - 1],
+        group.wave == 0 ? unit.in_dim() : feat_dim);
+    if (group.wave == 0) continue;
+    for (size_t r = 0; r < gx.rows(); ++r) {
+      const WaveSchedule::NodeRef ref = schedule.nodes[group.begin + r];
+      const EncodedNode& node = plans[ref.plan]->nodes[ref.node];
+      const double* src = gx.RowPtr(r);
+      for (size_t c = 0; c < node.children.size() && c < config_.max_children;
+           ++c) {
+        double* dst = ws->node_grads.RowPtr(schedule.node_base[ref.plan] +
+                                            node.children[c]);
+        for (size_t k = 0; k < d; ++k) dst[k] += src[c * d + k];
       }
     }
   }
-  return loss;
+  if (!reduce) return;
+
+  // Reduction: each unit's rows in (chunk, plan, pre-order node) order,
+  // one zero-seeded sum per chunk added onto the bound gradients in chunk
+  // order.
+  for (size_t oi = 0; oi < kNumOpTypes; ++oi) {
+    ws->rows[oi].clear();
+    ws->chunk_ends[oi].clear();
+    if (ws->grads[oi].empty()) ws->grads[oi] = units_[oi]->Grads();
+  }
+  for (size_t c = 0; c < num_chunks; ++c) {
+    const size_t ce = std::min((c + 1) * chunk_size, plans.size());
+    for (size_t p = c * chunk_size; p < ce; ++p) {
+      const auto& nodes = plans[p]->nodes;
+      for (size_t i = 0; i < nodes.size(); ++i) {
+        ws->rows[static_cast<size_t>(nodes[i].op)].push_back(
+            ws->taped[schedule.node_base[p] + i]);
+      }
+    }
+    for (size_t oi = 0; oi < kNumOpTypes; ++oi) {
+      ws->chunk_ends[oi].push_back(ws->rows[oi].size());
+    }
+  }
+  for (size_t oi = 0; oi < kNumOpTypes; ++oi) {
+    if (ws->rows[oi].empty()) continue;
+    units_[oi]->AccumulateParamGrads(ws->rows[oi], ws->chunk_ends[oi],
+                                     ws->grads[oi].data(), &ws->row_ptrs);
+  }
 }
 
 Status QppNet::Train(const std::vector<PlanSample>& train,
@@ -224,7 +354,8 @@ Status QppNet::Train(const std::vector<PlanSample>& train,
   // elements zeroed and merged for the unit types a chunk touches; per-plan
   // compute is proportional to plan nodes x unit parameter elements. Both
   // are exact element counts over the encoded training set — deterministic,
-  // so the partition stays thread-count- and run-independent.
+  // so the chunk width, and with it the gradient reduction order, stays
+  // run-independent.
   double merge_elems = 0.0;
   double plan_elems = 0.0;
   {
@@ -248,11 +379,8 @@ Status QppNet::Train(const std::vector<PlanSample>& train,
   }
   const size_t chunk_size =
       ResolveTrainChunkSize(config, merge_elems, plan_elems);
-  // Per-chunk gradient state, reused across batches. The chunk partition
-  // depends only on batch_size and the resolved chunk_size — never on the
-  // worker count — and chunk results merge in chunk index order below,
-  // which keeps the fitted model bit-identical at any thread count.
-  std::vector<ChunkAccum> accums;
+  TrainWorkspace ws;
+  std::vector<const EncodedPlan*> batch;
   std::vector<double> chunk_losses;
 
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
@@ -267,35 +395,16 @@ Status QppNet::Train(const std::vector<PlanSample>& train,
     for (size_t start = 0; start < order.size(); start += config.batch_size) {
       size_t end = std::min(start + config.batch_size, order.size());
       optimizer_->ZeroGrad();
+      batch.clear();
       size_t batch_nodes = 0;
       for (size_t i = start; i < end; ++i) {
+        batch.push_back(&encoded[order[i]]);
         batch_nodes += encoded[order[i]].nodes.size();
       }
       double inv = batch_nodes > 0 ? 1.0 / static_cast<double>(batch_nodes)
                                    : 1.0;
-      size_t num_chunks = (end - start + chunk_size - 1) / chunk_size;
-      if (accums.size() < num_chunks) accums.resize(num_chunks);
-      chunk_losses.assign(num_chunks, 0.0);
-      ParallelFor(pool, num_chunks, [&](size_t c) {
-        ChunkAccum& accum = accums[c];
-        accum.BeginBatch();
-        size_t cs = start + c * chunk_size;
-        size_t ce = std::min(cs + chunk_size, end);
-        double loss = 0.0;
-        for (size_t i = cs; i < ce; ++i) {
-          loss += TrainPlan(encoded[order[i]], inv, &accum);
-        }
-        chunk_losses[c] = loss;
-      });
-      // Fixed-order reduction: chunk index major, operator index minor.
-      for (size_t c = 0; c < num_chunks; ++c) {
-        epoch_loss += chunk_losses[c];
-        for (size_t oi = 0; oi < kNumOpTypes; ++oi) {
-          if (accums[c].touched[oi]) {
-            accums[c].sinks[oi].AddTo(units_[oi]->Grads());
-          }
-        }
-      }
+      RunBatch(batch, chunk_size, inv, /*reduce=*/true, &ws, &chunk_losses);
+      for (double loss : chunk_losses) epoch_loss += loss;
       epoch_nodes += batch_nodes;
       optimizer_->Step();
     }
@@ -343,16 +452,14 @@ Result<double> QppNet::TrainingLoss(const std::vector<PlanSample>& samples,
   }
   if (total_nodes == 0) return Status::InvalidArgument("no plan nodes");
   double inv = 1.0 / static_cast<double>(total_nodes);
-  ChunkAccum accum;
-  accum.BeginBatch();
-  double loss = 0.0;
-  for (const auto& plan : encoded) loss += TrainPlan(plan, inv, &accum);
-  if (accumulate_gradients) {
-    for (size_t oi = 0; oi < kNumOpTypes; ++oi) {
-      if (accum.touched[oi]) accum.sinks[oi].AddTo(units_[oi]->Grads());
-    }
-  }
-  return loss * inv;
+  std::vector<const EncodedPlan*> plans;
+  plans.reserve(encoded.size());
+  for (const auto& plan : encoded) plans.push_back(&plan);
+  // The whole sample set is one batch and one chunk.
+  TrainWorkspace ws;
+  std::vector<double> chunk_losses;
+  RunBatch(plans, plans.size(), inv, accumulate_gradients, &ws, &chunk_losses);
+  return chunk_losses[0] * inv;
 }
 
 Result<double> QppNet::PredictMs(const PlanNode& plan, int env_id) const {
@@ -370,90 +477,46 @@ void QppNet::PredictShard(const std::vector<PlanSample>& requests,
                           size_t begin, size_t end,
                           std::vector<double>* out) const {
   const size_t d = config_.data_vector_dim;
-  const size_t count = end - begin;
 
   // Featurize each distinct plan of this shard once through the lean
   // serving encode.
   std::vector<EncodedPlan> encoded;
-  encoded.reserve(count);
+  encoded.reserve(end - begin);
   for (size_t s = begin; s < end; ++s) {
     encoded.push_back(EncodePlan(*requests[s].plan, requests[s].env_id,
                                  /*scale_features=*/true,
                                  /*with_labels=*/false));
   }
+  std::vector<const EncodedPlan*> plans;
+  plans.reserve(encoded.size());
+  for (const auto& plan : encoded) plans.push_back(&plan);
+  WaveSchedule schedule;
+  schedule.Build(plans);
 
-  // Schedule nodes into waves: wave w holds nodes whose children all sit in
-  // earlier waves. Children have larger pre-order indices, so one reverse
-  // sweep per plan computes every wave number.
-  size_t max_wave = 0;
-  std::vector<std::vector<size_t>> wave(encoded.size());
-  for (size_t p = 0; p < encoded.size(); ++p) {
-    const auto& nodes = encoded[p].nodes;
-    wave[p].assign(nodes.size(), 0);
-    for (size_t ii = nodes.size(); ii > 0; --ii) {
-      size_t i = ii - 1;
-      size_t w = 0;
-      for (size_t c : nodes[i].children) w = std::max(w, wave[p][c] + 1);
-      wave[p][i] = w;
-      max_wave = std::max(max_wave, w);
-    }
-  }
-
-  // Per-plan node outputs, one d-wide row per node.
-  std::vector<Matrix> outputs;
-  outputs.reserve(encoded.size());
-  for (const auto& plan : encoded) outputs.emplace_back(plan.nodes.size(), d);
-
-  // One matrix-batched unit forward per (wave, operator type): every plan in
-  // the shard contributes its wave-w nodes of that type as rows. Unit
-  // forwards compute each row independently, so which plans share a shard
-  // (and hence a matrix) never changes any output row.
-  struct NodeRef {
-    size_t plan;
-    size_t node;
-  };
-  std::array<std::vector<NodeRef>, kNumOpTypes> buckets;
+  // One matrix-batched unit forward per (wave, operator type) group: every
+  // plan in the shard contributes its wave-w nodes of that type as rows.
+  // Unit forwards compute each row independently, so which plans share a
+  // shard (and hence a matrix) never changes any output row.
+  Matrix outputs(schedule.total_nodes, d);
   Mlp::Scratch scratch;
   Matrix x;
-  for (size_t w = 0; w <= max_wave; ++w) {
-    for (auto& bucket : buckets) bucket.clear();
-    for (size_t p = 0; p < encoded.size(); ++p) {
-      for (size_t i = 0; i < encoded[p].nodes.size(); ++i) {
-        if (wave[p][i] == w) {
-          buckets[static_cast<size_t>(encoded[p].nodes[i].op)].push_back(
-              {p, i});
-        }
-      }
-    }
-    for (OpType op : AllOpTypes()) {
-      const auto& bucket = buckets[static_cast<size_t>(op)];
-      if (bucket.empty()) continue;
-      size_t feat_dim = featurizer_->dim(op);
-      x.ResetShape(bucket.size(), feat_dim + config_.max_children * d);
-      for (size_t r = 0; r < bucket.size(); ++r) {
-        const EncodedNode& node =
-            encoded[bucket[r].plan].nodes[bucket[r].node];
-        double* row = x.RowPtr(r);
-        for (size_t i = 0; i < node.feats.size(); ++i) row[i] = node.feats[i];
-        const Matrix& plan_outputs = outputs[bucket[r].plan];
-        for (size_t c = 0;
-             c < node.children.size() && c < config_.max_children; ++c) {
-          const double* child = plan_outputs.RowPtr(node.children[c]);
-          for (size_t k = 0; k < d; ++k) row[feat_dim + c * d + k] = child[k];
-        }
-      }
-      const Matrix& y = units_[static_cast<size_t>(op)]->Predict(x, &scratch);
-      for (size_t r = 0; r < bucket.size(); ++r) {
-        double* dst = outputs[bucket[r].plan].RowPtr(bucket[r].node);
-        const double* src = y.RowPtr(r);
-        for (size_t k = 0; k < d; ++k) dst[k] = src[k];
-      }
+  for (size_t g = 0; g < schedule.groups.size(); ++g) {
+    const WaveSchedule::Group& group = schedule.groups[g];
+    BuildUnitInputs(plans, schedule, g, outputs, &x);
+    const Matrix& y =
+        units_[static_cast<size_t>(group.op)]->Predict(x, &scratch);
+    for (size_t r = 0; r < y.rows(); ++r) {
+      const WaveSchedule::NodeRef ref = schedule.nodes[group.begin + r];
+      const double* src = y.RowPtr(r);
+      std::copy(src, src + d,
+                outputs.RowPtr(schedule.node_base[ref.plan] + ref.node));
     }
   }
 
   for (size_t p = 0; p < encoded.size(); ++p) {
     (*out)[begin + p] = label_scaler_.InverseTransformOne(
-        label_scaler_.ClampTransformed(outputs[p].At(0, 0)));
+        label_scaler_.ClampTransformed(
+            outputs.At(schedule.node_base[p], 0)));
   }
 }
 

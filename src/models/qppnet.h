@@ -35,13 +35,24 @@ class QppNet : public CostModel {
          uint64_t seed);
 
   std::string name() const override { return "QPPNet"; }
-  /// Chunk-parallel training: each epoch's sample order (drawn from an
-  /// epoch-keyed Rng::Split stream) is cut into fixed-width chunks
-  /// (TrainConfig::chunk_size) independent of the worker count; chunks of
-  /// one optimizer batch backprop concurrently into private GradSinks via
-  /// the attached thread pool, and sinks merge into the optimizer-bound
-  /// gradients in chunk order — so the trained model is bit-identical at
-  /// any thread count.
+  /// Wave-batched training. Each optimizer batch (sample order from an
+  /// epoch-keyed Rng::Split stream) runs in three steps over the wave
+  /// schedule PredictBatchMs uses:
+  ///  1. forward: one taped, matrix-batched unit forward per (wave,
+  ///     operator type) group over all plans of the batch;
+  ///  2. backward: the groups in reverse, one delta-recording unit
+  ///     backward each (Mlp::BackwardDeltas), reducing no gradient yet;
+  ///  3. reduction: each unit's weight and bias gradients summed from the
+  ///     recorded rows in (chunk, plan, pre-order node) order, one
+  ///     zero-seeded sum per TrainConfig::chunk_size-wide chunk, added in
+  ///     chunk order (Mlp::AccumulateParamGrads).
+  /// Unit forwards and backwards are row-independent within an ISA tier
+  /// (the contract that makes PredictBatchMs match PredictMs), and the
+  /// reduction replays exactly the chain of a trainer that backprops one
+  /// node at a time into a gradient sink per chunk. So the fitted model,
+  /// its Adam state and its loss curve are bit-identical to that per-node
+  /// trainer. The batch runs inline; the attached pool only encodes plans,
+  /// so the result is also the same at any thread count.
   Status Train(const std::vector<PlanSample>& train, const TrainConfig& config,
                TrainStats* stats) override;
   Result<double> PredictMs(const PlanNode& plan, int env_id) const override;
@@ -76,11 +87,12 @@ class QppNet : public CostModel {
   std::vector<Matrix*> Grads();
 
   /// Mean per-node squared loss of the scaled subtree-latency regression
-  /// over `samples`, treated as one batch. With `accumulate_gradients`, the
-  /// matching parameter gradients are added into Grads() (not applied).
-  /// Fits the scalers on `samples` if the model is untrained. This is the
-  /// differentiable quantity Train() descends, exposed so finite-difference
-  /// checks can verify the tape-based composite backprop end to end.
+  /// over `samples`, treated as one batch and one chunk of Train()'s
+  /// wave-batched path. With `accumulate_gradients`, the matching parameter
+  /// gradients are added into Grads() (not applied). Fits the scalers on
+  /// `samples` if the model is untrained. This is the differentiable
+  /// quantity Train() descends, exposed so finite-difference checks can
+  /// verify the batched composite backprop end to end.
   Result<double> TrainingLoss(const std::vector<PlanSample>& samples,
                               bool accumulate_gradients);
 
@@ -90,16 +102,54 @@ class QppNet : public CostModel {
     OpType op = OpType::kSeqScan;
     std::vector<double> feats;      ///< scaled features
     std::vector<size_t> children;   ///< indices into EncodedPlan::nodes
+    size_t wave = 0;                ///< 0 for leaves, else 1 + max child wave
     double label_scaled = 0.0;      ///< scaled subtree latency
   };
   struct EncodedPlan {
     std::vector<EncodedNode> nodes;  ///< pre-order; root at 0
   };
 
+  /// The bottom-up schedule serving and training share. Every node of a
+  /// set of plans lands in the (wave, operator type) group of its wave, so
+  /// a group's children were all computed by earlier groups. Groups run
+  /// waves ascending and operator types in AllOpTypes() order; a group
+  /// lists its nodes in (plan, pre-order node) order. Nodes also have a
+  /// flat index, node_base[plan] + node, for per-node side tables. Build
+  /// reuses the storage, so a warm schedule does not allocate.
+  struct WaveSchedule {
+    struct NodeRef {
+      size_t plan = 0;
+      size_t node = 0;
+    };
+    struct Group {
+      OpType op = OpType::kSeqScan;
+      size_t wave = 0;
+      size_t begin = 0;  ///< this group's nodes are nodes[begin, end)
+      size_t end = 0;
+    };
+    std::vector<size_t> node_base;  ///< flat index of each plan's root
+    size_t total_nodes = 0;
+    std::vector<NodeRef> nodes;     ///< grouped, see Group
+    std::vector<Group> groups;
+    std::vector<size_t> cursor;     ///< Build scratch, per (wave, op) key
+
+    void Build(const std::vector<const EncodedPlan*>& plans);
+  };
+
+  /// Reusable state of the batched trainer (defined in qppnet.cc).
+  struct TrainWorkspace;
+
   /// `with_labels=false` is the serving path: it skips the per-node
   /// subtree-latency/label transforms that only training needs.
   EncodedPlan EncodePlan(const PlanNode& plan, int env_id, bool scale_features,
                          bool with_labels = true) const;
+
+  /// Writes the unit inputs of schedule group `g` into `x`, one row per
+  /// group node: the node's features, then each child's output row from
+  /// `outputs` (indexed by flat node), zeros for absent children.
+  void BuildUnitInputs(const std::vector<const EncodedPlan*>& plans,
+                       const WaveSchedule& schedule, size_t g,
+                       const Matrix& outputs, Matrix* x) const;
 
   /// Wave-batched serving sweep over requests [begin, end), writing
   /// predictions into the matching slots of `out` (one shard of
@@ -111,41 +161,22 @@ class QppNet : public CostModel {
   void ForwardPlan(const EncodedPlan& plan,
                    std::vector<Matrix>* node_outputs) const;
 
-  /// One training chunk's private gradient state: a sink per neural unit,
-  /// lazily (re)zeroed on first touch within a batch so untouched units
-  /// cost nothing to reset or merge. Doubles as the chunk's scratch arena:
-  /// per-node tapes, per-node output gradients and the unit-input row are
-  /// reshaped in place across plans and batches, so steady-state training
-  /// never touches the allocator.
-  struct ChunkAccum {
-    std::array<GradSink, kNumOpTypes> sinks;
-    std::array<bool, kNumOpTypes> touched{};
-    /// Reusable per-node forward/backward state (grown to the widest plan).
-    std::vector<Mlp::Tape> tapes;
-    std::vector<Matrix> node_grads;
-    Matrix unit_input;
-
-    void BeginBatch() { touched.fill(false); }
-  };
-
-  /// Forward + backward for one plan on per-node tapes, accumulating
-  /// parameter gradients (seeded with 2 * err * inv_node_count per node)
-  /// into `accum`. Returns the plan's summed squared error. Const and
-  /// state-free: concurrent calls only share the read-only units.
-  double TrainPlan(const EncodedPlan& plan, double inv_node_count,
-                   ChunkAccum* accum) const;
+  /// One optimizer batch, wave-batched: a taped unit forward per schedule
+  /// group, then a delta-recording backward per group in reverse, seeded
+  /// with 2 * err * inv_node_count per node. Writes each chunk's summed
+  /// squared error (plans cut into `chunk_size`-wide chunks) into
+  /// `chunk_losses`. With `reduce`, adds the parameter gradients into the
+  /// units' Grads() in (chunk, plan, pre-order node) order — the order a
+  /// per-node trainer with one gradient sink per chunk sums them in.
+  void RunBatch(const std::vector<const EncodedPlan*>& plans,
+                size_t chunk_size, double inv_node_count, bool reduce,
+                TrainWorkspace* ws, std::vector<double>* chunk_losses);
 
   /// Fits feature scalers and the label scaler on first training.
   void FitScalers(const std::vector<PlanSample>& train);
 
   Matrix UnitInput(const EncodedPlan& plan, size_t node_index,
                    const std::vector<Matrix>& node_outputs) const;
-
-  /// UnitInput variant for the tape-based training path: child outputs are
-  /// read off the children's tapes and the row is built in the caller's
-  /// reusable scratch matrix.
-  void UnitInputInto(const EncodedPlan& plan, size_t node_index,
-                     const std::vector<Mlp::Tape>& tapes, Matrix* x) const;
 
   const OperatorFeaturizer* featurizer_;
   QppNetConfig config_;

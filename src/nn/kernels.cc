@@ -482,7 +482,7 @@ void GemmATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc) {
     case KernelMode::kAuto:
       break;
   }
-  // Rank-1 contractions (per-node training rows) have a single term per
+  // Rank-1 contractions (single-row batches) have a single term per
   // output element, so they accumulate straight into the sink row-sparsely.
   // Wider contractions keep the full-sum-then-add chains either through the
   // register panel (dense inputs) or through a thread-local temporary whose
@@ -506,6 +506,50 @@ void ColSumAccumulate(const Matrix& a, Matrix* acc) {
     return;
   }
   ActiveTable().colsum_acc(a, acc);
+}
+
+// --------------------------------------------------- in-order reductions
+
+namespace {
+
+void CheckChunkEnds(size_t rows, const std::vector<size_t>& chunk_ends) {
+  size_t prev = 0;
+  for (size_t end : chunk_ends) {
+    QCFE_CHECK(end >= prev, "in-order reduction: chunk ends must ascend");
+    prev = end;
+  }
+  QCFE_CHECK(prev == rows,
+             "in-order reduction: the last chunk end must equal the rows");
+}
+
+}  // namespace
+
+void InOrderATAccumulate(const RowRefs& a, const RowRefs& b,
+                         const std::vector<size_t>& chunk_ends, Matrix* acc) {
+  QCFE_CHECK(a.count == b.count, "InOrderATAccumulate: row-count mismatch");
+  QCFE_CHECK(acc->rows() == a.cols && acc->cols() == b.cols,
+             "InOrderATAccumulate: acc must be pre-shaped to a.cols x b.cols");
+  CheckChunkEnds(a.count, chunk_ends);
+  if (GetKernelMode() == KernelMode::kReference) {
+    reference::InOrderATAccumulate(a, b, chunk_ends, acc);
+    return;
+  }
+  ActiveTable().in_order_at_acc(a, b, chunk_ends.data(), chunk_ends.size(),
+                                acc);
+}
+
+void InOrderColSumAccumulate(const RowRefs& a,
+                             const std::vector<size_t>& chunk_ends,
+                             Matrix* acc) {
+  QCFE_CHECK(acc->rows() == 1 && acc->cols() == a.cols,
+             "InOrderColSumAccumulate: acc must be a pre-shaped 1 x a.cols row");
+  CheckChunkEnds(a.count, chunk_ends);
+  if (GetKernelMode() == KernelMode::kReference) {
+    reference::InOrderColSumAccumulate(a, chunk_ends, acc);
+    return;
+  }
+  ActiveTable().in_order_colsum_acc(a, chunk_ends.data(), chunk_ends.size(),
+                                    acc);
 }
 
 // ------------------------------------------------------------ epilogues

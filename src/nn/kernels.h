@@ -26,8 +26,9 @@
 /// store. Across tiers, FMA's single rounding makes contraction results
 /// differ from the scalar tier by a bounded relative error (gated at
 /// kSimdRelTolerance by the parity machinery in tests/kernels_test.cc and
-/// `bench_micro --smoke`); ColSumAccumulate, AdamStep and SgdStep use no
-/// FMA and no reductions, so they are bit-identical across every tier.
+/// `bench_micro --smoke`); ColSumAccumulate, the in-order reductions,
+/// AdamStep and SgdStep use no FMA and no cross-lane reductions, so they
+/// are bit-identical across every tier.
 ///
 /// Autotuning. The dispatch thresholds (dense-vs-streaming row crossover,
 /// sparse-vs-dense zero-fraction crossover) are measured once per process
@@ -245,6 +246,45 @@ void GemmATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc);
 /// tier — column sums are vertical and never reduce across lanes).
 void ColSumAccumulate(const Matrix& a, Matrix* acc);
 
+// --------------------------------------------------- in-order reductions
+// Parameter-gradient reductions over an explicit row order. Batched
+// training computes every row's activations and deltas in a few large
+// matrices, but must sum the per-row gradient contributions in one fixed
+// order, cut into fixed chunks, for the fitted model to stay bit-identical
+// to one that was trained a row at a time. These kernels replay exactly
+// that chain. Each chunk's sum is zero-seeded and built row by row in
+// ascending order, then added onto `acc`, in chunk order. Chunk c covers
+// rows [chunk_ends[c-1], chunk_ends[c]), with chunk_ends[-1] = 0. The last
+// entry must equal the row count, and an empty chunk adds nothing. The
+// chains use only single-rounding multiplies and adds, never an FMA or a
+// cross-lane reduction, so every tier and every KernelMode gives the same
+// bits.
+
+/// Row-ordered operand of the in-order kernels: logical row r is the
+/// `cols` doubles at rows[r]. The rows may live in any number of matrices,
+/// so a caller can replay an order across batches without gathering them.
+struct RowRefs {
+  const double* const* rows = nullptr;
+  size_t count = 0;
+  size_t cols = 0;
+};
+
+/// acc += the chunked in-order sum of a_r^T * b_r. Each row adds with
+/// GemmATAccumulate's single-row arithmetic: per element one multiply, then
+/// one add, and nothing at all where the a entry is zero. Bit-identical to
+/// zeroing a scratch per chunk, calling GemmATAccumulate on each 1-row
+/// pair, and adding the scratch onto acc. acc must be a.cols x b.cols.
+void InOrderATAccumulate(const RowRefs& a, const RowRefs& b,
+                         const std::vector<size_t>& chunk_ends, Matrix* acc);
+
+/// acc (1 x n) += the chunked in-order sum of the rows of a, each row
+/// added as a 1-row ColSumAccumulate would add it (0.0 + a_r). Bit-identical
+/// to zeroing a scratch row per chunk, calling ColSumAccumulate on each
+/// 1-row matrix, and adding the scratch onto acc.
+void InOrderColSumAccumulate(const RowRefs& a,
+                             const std::vector<size_t>& chunk_ends,
+                             Matrix* acc);
+
 // ------------------------------------------------------------ epilogues
 
 /// out = relu(in), elementwise; `out` may alias `in`.
@@ -304,6 +344,14 @@ void GemmBT(const Matrix& a, const Matrix& b, Matrix* out);
 void GemmAT(const Matrix& a, const Matrix& b, Matrix* out);
 void GemmATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc);
 void ColSumAccumulate(const Matrix& a, Matrix* acc);
+/// The in-order reductions as the per-row loop they replace: one zeroed
+/// scratch per chunk, one 1-row GemmATAccumulate / ColSumAccumulate per row
+/// (row copies and temporaries included), then one Add per chunk.
+void InOrderATAccumulate(const RowRefs& a, const RowRefs& b,
+                         const std::vector<size_t>& chunk_ends, Matrix* acc);
+void InOrderColSumAccumulate(const RowRefs& a,
+                             const std::vector<size_t>& chunk_ends,
+                             Matrix* acc);
 }  // namespace reference
 
 }  // namespace kernels

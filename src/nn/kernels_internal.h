@@ -16,6 +16,7 @@
 
 #include <cstddef>
 
+#include "nn/kernels.h"
 #include "nn/matrix.h"
 
 namespace qcfe {
@@ -53,6 +54,13 @@ struct KernelTable {
   void (*at_acc_rank1)(const Matrix& a, const Matrix& b, Matrix* acc);
   /// acc (1 x n) += column sums of a.
   void (*colsum_acc)(const Matrix& a, Matrix* acc);
+  /// In-order chunked a^T * b / column-sum reductions (kernels.h); the
+  /// front end has validated shapes and chunk bounds.
+  void (*in_order_at_acc)(const RowRefs& a, const RowRefs& b,
+                          const size_t* chunk_ends, size_t num_chunks,
+                          Matrix* acc);
+  void (*in_order_colsum_acc)(const RowRefs& a, const size_t* chunk_ends,
+                              size_t num_chunks, Matrix* acc);
   /// One Adam update over flat arrays of length n (bc1/bc2 are the
   /// precomputed bias corrections 1-beta^t). Bit-identical across tiers:
   /// every lane operation (mul/add/div/sqrt) is a single IEEE rounding.
@@ -75,6 +83,15 @@ const KernelTable* Avx2Table();
 
 /// The NEON tier; null when the build does not compile it in.
 const KernelTable* NeonTable();
+
+/// The scalar tier's in-order reductions. Their chains are single-rounding
+/// multiplies and adds, so any tier may reuse them as they are (the NEON
+/// tier reuses both, the AVX2 tier the column sums).
+void ScalarInOrderATAccumulate(const RowRefs& a, const RowRefs& b,
+                               const size_t* chunk_ends, size_t num_chunks,
+                               Matrix* acc);
+void ScalarInOrderColSumAccumulate(const RowRefs& a, const size_t* chunk_ends,
+                                   size_t num_chunks, Matrix* acc);
 
 /// Separate bias / ReLU passes for paths that accumulate in memory (the
 /// sparse product and the reference replay): identical per-element

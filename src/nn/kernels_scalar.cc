@@ -277,9 +277,8 @@ void DenseBT(const Matrix& a, const Matrix& b, Matrix* out) {
 /// a(0, i) * b(0, :), skipping zero a entries. With one contraction term
 /// per element, "sum in a register, then add" and "add the product" are
 /// the same single addition, so this stays bit-identical to the reference
-/// temporary+Add — while touching only the rows a actually activates
-/// (plan-structured training backprops one node row at a time, so this is
-/// the dW kernel QPPNet runs almost exclusively).
+/// temporary+Add — while touching only the rows a actually activates.
+/// Its per-row chain is the one the in-order reductions replay.
 void Rank1ATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc) {
   const double* arow = a.RowPtr(0);
   const double* __restrict brow = b.RowPtr(0);
@@ -340,6 +339,70 @@ void SgdStepImpl(double* __restrict p, const double* __restrict g,
 
 }  // namespace
 
+void ScalarInOrderATAccumulate(const RowRefs& a, const RowRefs& b,
+                               const size_t* chunk_ends, size_t num_chunks,
+                               Matrix* acc) {
+  // One kMr x kNr chunk sum per output panel, zero-seeded per chunk and
+  // added onto acc once the chunk's rows are in: per element exactly the
+  // chain a zeroed sink takes under one Rank1ATAccumulate per row.
+  const size_t m = a.cols;
+  const size_t n = b.cols;
+  for (size_t i0 = 0; i0 < m; i0 += kMr) {
+    const size_t mr = std::min(kMr, m - i0);
+    for (size_t j0 = 0; j0 < n; j0 += kNr) {
+      const size_t nr = std::min(kNr, n - j0);
+      size_t begin = 0;
+      for (size_t c = 0; c < num_chunks; ++c) {
+        const size_t end = chunk_ends[c];
+        if (end == begin) continue;
+        double sum[kMr][kNr] = {{0.0}};
+        for (size_t r = begin; r < end; ++r) {
+          const double* arow = a.rows[r] + i0;
+          const double* __restrict brow = b.rows[r] + j0;
+          for (size_t ii = 0; ii < mr; ++ii) {
+            const double av = arow[ii];
+            if (av == 0.0) continue;
+            if (nr == kNr) {
+              for (size_t jj = 0; jj < kNr; ++jj) sum[ii][jj] += av * brow[jj];
+            } else {
+              for (size_t jj = 0; jj < nr; ++jj) sum[ii][jj] += av * brow[jj];
+            }
+          }
+        }
+        for (size_t ii = 0; ii < mr; ++ii) {
+          double* dst = acc->RowPtr(i0 + ii) + j0;
+          for (size_t jj = 0; jj < nr; ++jj) dst[jj] += sum[ii][jj];
+        }
+        begin = end;
+      }
+    }
+  }
+}
+
+void ScalarInOrderColSumAccumulate(const RowRefs& a, const size_t* chunk_ends,
+                                   size_t num_chunks, Matrix* acc) {
+  constexpr size_t kCb = 256;
+  const size_t n = a.cols;
+  double buf[kCb];
+  for (size_t c0 = 0; c0 < n; c0 += kCb) {
+    const size_t cb = std::min(kCb, n - c0);
+    double* dst = acc->RowPtr(0) + c0;
+    size_t begin = 0;
+    for (size_t c = 0; c < num_chunks; ++c) {
+      const size_t end = chunk_ends[c];
+      if (end == begin) continue;
+      std::fill(buf, buf + cb, 0.0);
+      for (size_t r = begin; r < end; ++r) {
+        const double* __restrict src = a.rows[r] + c0;
+        // (0.0 + x) is a 1-row ColSumAccumulate's column sum.
+        for (size_t k = 0; k < cb; ++k) buf[k] += 0.0 + src[k];
+      }
+      for (size_t k = 0; k < cb; ++k) dst[k] += buf[k];
+      begin = end;
+    }
+  }
+}
+
 void BiasPass(const Matrix& bias, Matrix* out) {
   QCFE_CHECK(bias.rows() == 1 && bias.cols() == out->cols(),
              "bias must be a 1 x out-cols row vector");
@@ -366,6 +429,8 @@ const KernelTable& ScalarTable() {
       SparseTempATAccumulate,  // at_acc_sparse
       Rank1ATAccumulate,     // at_acc_rank1
       ColSumAccumulateImpl,  // colsum_acc
+      ScalarInOrderATAccumulate,      // in_order_at_acc
+      ScalarInOrderColSumAccumulate,  // in_order_colsum_acc
       AdamStepImpl,          // adam_step
       SgdStepImpl,           // sgd_step
   };
@@ -456,6 +521,43 @@ void GemmATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc) {
 
 void ColSumAccumulate(const Matrix& a, Matrix* acc) {
   acc->Add(a.ColSum());
+}
+
+void InOrderATAccumulate(const RowRefs& a, const RowRefs& b,
+                         const std::vector<size_t>& chunk_ends, Matrix* acc) {
+  Matrix sink(acc->rows(), acc->cols());
+  Matrix arow(1, a.cols);
+  Matrix brow(1, b.cols);
+  size_t begin = 0;
+  for (size_t end : chunk_ends) {
+    if (end == begin) continue;
+    sink.Fill(0.0);
+    for (size_t r = begin; r < end; ++r) {
+      std::copy(a.rows[r], a.rows[r] + a.cols, arow.RowPtr(0));
+      std::copy(b.rows[r], b.rows[r] + b.cols, brow.RowPtr(0));
+      GemmATAccumulate(arow, brow, &sink);
+    }
+    acc->Add(sink);
+    begin = end;
+  }
+}
+
+void InOrderColSumAccumulate(const RowRefs& a,
+                             const std::vector<size_t>& chunk_ends,
+                             Matrix* acc) {
+  Matrix sink(1, a.cols);
+  Matrix row(1, a.cols);
+  size_t begin = 0;
+  for (size_t end : chunk_ends) {
+    if (end == begin) continue;
+    sink.Fill(0.0);
+    for (size_t r = begin; r < end; ++r) {
+      std::copy(a.rows[r], a.rows[r] + a.cols, row.RowPtr(0));
+      ColSumAccumulate(row, &sink);
+    }
+    acc->Add(sink);
+    begin = end;
+  }
 }
 
 }  // namespace reference

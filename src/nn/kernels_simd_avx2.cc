@@ -30,6 +30,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "nn/kernels.h"
 #include "util/check.h"
@@ -412,6 +413,128 @@ void Rank1ATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc) {
 
 // --------------------------------------------------------- reductions
 
+/// One kRows x 8 output panel of the in-order a^T * b: a chunk sum per
+/// panel row held in registers, each row adding mul(a, b) with separate
+/// roundings. Skipping a zero a entry, as Rank1ATAccumulate does, equals
+/// adding its product whenever that product is ±0.0, i.e. whenever the b
+/// row is finite: a zero-seeded sum is never -0.0, so adding ±0.0 leaves it
+/// unchanged. Rows with a non-finite b entry take the masked form instead,
+/// which replaces the zero-a products (NaN for 0 * inf) with +0.0.
+template <size_t kRows>
+void InOrderATPanel(const RowRefs& a, const RowRefs& b,
+                    const unsigned char* finite, const size_t* chunk_ends,
+                    size_t num_chunks, size_t i0, size_t j0, Matrix* acc) {
+  const __m256d zero = _mm256_setzero_pd();
+  // The destination panel stays in registers across chunks: each chunk sum
+  // is added onto it exactly as a store-and-reload would.
+  __m256d dst0[kRows];
+  __m256d dst1[kRows];
+  for (size_t ii = 0; ii < kRows; ++ii) {
+    const double* dst = acc->RowPtr(i0 + ii) + j0;
+    dst0[ii] = _mm256_loadu_pd(dst);
+    dst1[ii] = _mm256_loadu_pd(dst + 4);
+  }
+  size_t begin = 0;
+  for (size_t c = 0; c < num_chunks; ++c) {
+    const size_t end = chunk_ends[c];
+    if (end == begin) continue;
+    __m256d sum0[kRows];
+    __m256d sum1[kRows];
+    for (size_t ii = 0; ii < kRows; ++ii) {
+      sum0[ii] = zero;
+      sum1[ii] = zero;
+    }
+    for (size_t r = begin; r < end; ++r) {
+      const double* arow = a.rows[r] + i0;
+      const double* __restrict brow = b.rows[r] + j0;
+      const __m256d bv0 = _mm256_loadu_pd(brow);
+      const __m256d bv1 = _mm256_loadu_pd(brow + 4);
+      if (finite[r] != 0) {
+        for (size_t ii = 0; ii < kRows; ++ii) {
+          const __m256d av = _mm256_set1_pd(arow[ii]);
+          sum0[ii] = _mm256_add_pd(sum0[ii], _mm256_mul_pd(av, bv0));
+          sum1[ii] = _mm256_add_pd(sum1[ii], _mm256_mul_pd(av, bv1));
+        }
+      } else {
+        for (size_t ii = 0; ii < kRows; ++ii) {
+          const __m256d av = _mm256_set1_pd(arow[ii]);
+          const __m256d keep = _mm256_cmp_pd(av, zero, _CMP_NEQ_UQ);
+          sum0[ii] = _mm256_add_pd(
+              sum0[ii], _mm256_and_pd(_mm256_mul_pd(av, bv0), keep));
+          sum1[ii] = _mm256_add_pd(
+              sum1[ii], _mm256_and_pd(_mm256_mul_pd(av, bv1), keep));
+        }
+      }
+    }
+    for (size_t ii = 0; ii < kRows; ++ii) {
+      dst0[ii] = _mm256_add_pd(dst0[ii], sum0[ii]);
+      dst1[ii] = _mm256_add_pd(dst1[ii], sum1[ii]);
+    }
+    begin = end;
+  }
+  for (size_t ii = 0; ii < kRows; ++ii) {
+    double* dst = acc->RowPtr(i0 + ii) + j0;
+    _mm256_storeu_pd(dst, dst0[ii]);
+    _mm256_storeu_pd(dst + 4, dst1[ii]);
+  }
+}
+
+void InOrderATAccumulateImpl(const RowRefs& a, const RowRefs& b,
+                             const size_t* chunk_ends, size_t num_chunks,
+                             Matrix* acc) {
+  const size_t m = a.cols;
+  const size_t n = b.cols;
+  thread_local std::vector<unsigned char> finite;
+  finite.resize(b.count);
+  for (size_t r = 0; r < b.count; ++r) {
+    bool ok = true;
+    for (size_t j = 0; j < n; ++j) ok &= std::isfinite(b.rows[r][j]);
+    finite[r] = ok ? 1 : 0;
+  }
+  // Panels of kInOrderRows x 8: the destination and the chunk sums both
+  // fit in the 16 ymm registers.
+  constexpr size_t kInOrderRows = 3;
+  for (size_t i0 = 0; i0 < m; i0 += kInOrderRows) {
+    const size_t mr = std::min(kInOrderRows, m - i0);
+    size_t j0 = 0;
+    for (; j0 + kNr <= n; j0 += kNr) {
+      switch (mr) {
+        case 3:
+          InOrderATPanel<3>(a, b, finite.data(), chunk_ends, num_chunks, i0,
+                            j0, acc);
+          break;
+        case 2:
+          InOrderATPanel<2>(a, b, finite.data(), chunk_ends, num_chunks, i0,
+                            j0, acc);
+          break;
+        default:
+          InOrderATPanel<1>(a, b, finite.data(), chunk_ends, num_chunks, i0,
+                            j0, acc);
+          break;
+      }
+    }
+    // Tail columns: the same chain, one element at a time.
+    for (; j0 < n; ++j0) {
+      for (size_t ii = 0; ii < mr; ++ii) {
+        double* dst = acc->RowPtr(i0 + ii) + j0;
+        size_t begin = 0;
+        for (size_t c = 0; c < num_chunks; ++c) {
+          const size_t end = chunk_ends[c];
+          if (end == begin) continue;
+          double sum = 0.0;
+          for (size_t r = begin; r < end; ++r) {
+            const double av = a.rows[r][i0 + ii];
+            if (av == 0.0) continue;
+            sum += av * b.rows[r][j0];
+          }
+          *dst += sum;
+          begin = end;
+        }
+      }
+    }
+  }
+}
+
 void ColSumAccumulateImpl(const Matrix& a, Matrix* acc) {
   const size_t n = a.cols();
   double* dst = acc->RowPtr(0);
@@ -508,6 +631,8 @@ const KernelTable* Avx2Table() {
       SparseTempATAccumulate,  // at_acc_sparse
       Rank1ATAccumulate,     // at_acc_rank1
       ColSumAccumulateImpl,  // colsum_acc
+      InOrderATAccumulateImpl,      // in_order_at_acc
+      ScalarInOrderColSumAccumulate,  // in_order_colsum_acc
       AdamStepImpl,          // adam_step
       SgdStepImpl,           // sgd_step
   };

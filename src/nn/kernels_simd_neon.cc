@@ -410,6 +410,8 @@ const KernelTable* NeonTable() {
       SparseTempATAccumulate,  // at_acc_sparse
       Rank1ATAccumulate,     // at_acc_rank1
       ColSumAccumulateImpl,  // colsum_acc
+      ScalarInOrderATAccumulate,      // in_order_at_acc
+      ScalarInOrderColSumAccumulate,  // in_order_colsum_acc
       AdamStepImpl,          // adam_step
       SgdStepImpl,           // sgd_step
   };

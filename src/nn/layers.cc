@@ -1,8 +1,10 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "nn/kernels.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace qcfe {
@@ -44,6 +46,17 @@ void LinearLayer::BackwardInto(const Matrix& grad_output, const Matrix& input,
     kernels::ColSumAccumulate(grad_output, param_grads[1]);
   }
   kernels::GemmBT(grad_output, w_, grad_input);
+}
+
+void LinearLayer::InputGradTailInto(const Matrix& grad_output, size_t first,
+                                    Matrix* w_rows,
+                                    Matrix* grad_input) const {
+  QCFE_CHECK(first <= w_.rows(), "InputGradTailInto: first column past in_dim");
+  w_rows->ResetShapeUninitialized(w_.rows() - first, w_.cols());
+  for (size_t r = first; r < w_.rows(); ++r) {
+    std::copy(w_.RowPtr(r), w_.RowPtr(r) + w_.cols(), w_rows->RowPtr(r - first));
+  }
+  kernels::GemmBT(grad_output, *w_rows, grad_input);
 }
 
 void LinearLayer::ZeroGrad() {

@@ -99,6 +99,12 @@ class LinearLayer : public Layer {
   void BackwardInto(const Matrix& grad_output, const Matrix& input,
                     const Matrix& output, Matrix* const* param_grads,
                     Matrix* grad_input) const override;
+  /// dL/d(input) for the input columns [first, in_dim) only. Each element
+  /// is the dot product GemmBT builds at any output position, so the
+  /// columns equal BackwardInto's bit for bit. `w_rows` is caller scratch
+  /// for the weight rows the product reads.
+  void InputGradTailInto(const Matrix& grad_output, size_t first,
+                         Matrix* w_rows, Matrix* grad_input) const;
   std::vector<Matrix*> Params() override { return {&w_, &b_}; }
   std::vector<Matrix*> Grads() override { return {&dw_, &db_}; }
   size_t num_param_grads() const override { return 2; }

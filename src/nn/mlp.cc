@@ -170,6 +170,71 @@ const Matrix& Mlp::Backward(const Matrix& grad_output, Tape* tape,
   return *cur;
 }
 
+const Matrix& Mlp::BackwardDeltas(const Matrix& grad_output, Tape* tape,
+                                  size_t input_grad_begin) const {
+  QCFE_CHECK(tape != nullptr &&
+                 tape->activations.size() == layers_.size() + 1,
+             "Mlp::BackwardDeltas tape does not match a Forward() on this "
+             "network");
+  QCFE_CHECK(!layers_.empty(), "Mlp::BackwardDeltas on an empty network");
+  QCFE_DCHECK(grad_output.rows() == tape->activations.back().rows() &&
+                  grad_output.cols() == tape->activations.back().cols(),
+              "Mlp::BackwardDeltas gradient shape does not match the taped "
+              "output");
+  const auto& acts = tape->activations;
+  auto& deltas = tape->deltas;
+  const size_t n = layers_.size();
+  if (deltas.size() != n) deltas.resize(n);
+  deltas[n - 1] = grad_output;
+  for (size_t i = n - 1; i > 0; --i) {
+    layers_[i]->BackwardInto(deltas[i], acts[i], acts[i + 1], nullptr,
+                             &deltas[i - 1]);
+  }
+  Matrix* gx = &tape->grad_ping;
+  if (input_grad_begin == 0) {
+    layers_[0]->BackwardInto(deltas[0], acts[0], acts[1], nullptr, gx);
+  } else if (input_grad_begin >= in_dim_) {
+    gx->ResetShapeUninitialized(grad_output.rows(), 0);
+  } else {
+    QCFE_CHECK(layers_[0]->kind() == LayerKind::kLinear,
+               "Mlp::BackwardDeltas: a partial input gradient needs a Linear "
+               "first layer");
+    static_cast<const LinearLayer&>(*layers_[0])
+        .InputGradTailInto(deltas[0], input_grad_begin, &tape->grad_pong, gx);
+  }
+  return *gx;
+}
+
+void Mlp::AccumulateParamGrads(const std::vector<TapeRow>& rows,
+                               const std::vector<size_t>& chunk_ends,
+                               Matrix* const* grads,
+                               std::vector<const double*>* scratch) const {
+  const size_t count = rows.size();
+  scratch->resize(2 * count);
+  const double** a_rows = scratch->data();
+  const double** b_rows = scratch->data() + count;
+  size_t slot = 0;
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    const Layer& layer = *layers_[i];
+    if (layer.num_param_grads() == 0) continue;
+    QCFE_CHECK(layer.kind() == LayerKind::kLinear,
+               "Mlp::AccumulateParamGrads: only Linear layers carry params");
+    for (size_t r = 0; r < count; ++r) {
+      const Tape& tape = *rows[r].tape;
+      QCFE_DCHECK(tape.deltas.size() == layers_.size(),
+                  "Mlp::AccumulateParamGrads: tape has no BackwardDeltas");
+      a_rows[r] = tape.activations[i].RowPtr(rows[r].row);
+      b_rows[r] = tape.deltas[i].RowPtr(rows[r].row);
+    }
+    const auto& lin = static_cast<const LinearLayer&>(layer);
+    const kernels::RowRefs a{a_rows, count, lin.in_dim()};
+    const kernels::RowRefs b{b_rows, count, lin.out_dim()};
+    kernels::InOrderATAccumulate(a, b, chunk_ends, grads[slot]);
+    kernels::InOrderColSumAccumulate(b, chunk_ends, grads[slot + 1]);
+    slot += layer.num_param_grads();
+  }
+}
+
 Matrix Mlp::InputGradient(const Matrix& input) const {
   Tape tape;
   return InputGradient(input, &tape);

@@ -54,6 +54,9 @@ class Mlp {
   /// tape never touch the allocator.
   struct Tape {
     std::vector<Matrix> activations;
+    /// BackwardDeltas' record: deltas[i] = dL/d(activations[i + 1]), the
+    /// gradient at layer i's output, one row per tape row.
+    std::vector<Matrix> deltas;
     /// Backward/seed scratch (not part of the activation record).
     Matrix grad_ping, grad_pong, seed;
   };
@@ -95,6 +98,35 @@ class Mlp {
   /// tape makes the whole backward pass allocation-free.
   const Matrix& Backward(const Matrix& grad_output, Tape* tape,
                          GradSink* sink) const;
+
+  /// Backward for batched training: propagates dL/d(output) (one row per
+  /// tape row) down through every layer and records each layer's output
+  /// gradient on tape->deltas, reducing no parameter gradient. The caller
+  /// reduces them later with AccumulateParamGrads, in whatever row order it
+  /// must keep. Every layer's backward is row-independent, so each row's
+  /// deltas equal those of a 1-row Backward of that row alone. Returns
+  /// dL/d(input) for the input columns [input_grad_begin, in_dim) only (a
+  /// reference into the tape's scratch; no product at all when the range
+  /// is empty). A non-zero begin requires a Linear first layer.
+  const Matrix& BackwardDeltas(const Matrix& grad_output, Tape* tape,
+                               size_t input_grad_begin) const;
+
+  /// One row of a Forward() + BackwardDeltas() record.
+  struct TapeRow {
+    const Tape* tape = nullptr;
+    size_t row = 0;
+  };
+
+  /// Adds the parameter gradients of `rows` into `grads` (Grads() layout).
+  /// Rows are summed in the given order, cut into chunks at `chunk_ends`
+  /// (kernels::InOrderATAccumulate), so the result is bit-identical to
+  /// running Backward() on each row alone into a zeroed GradSink per chunk
+  /// and adding the sinks onto `grads` in chunk order. `scratch` holds the
+  /// row pointers between calls.
+  void AccumulateParamGrads(const std::vector<TapeRow>& rows,
+                            const std::vector<size_t>& chunk_ends,
+                            Matrix* const* grads,
+                            std::vector<const double*>* scratch) const;
 
   /// d(output_0)/d(input) for each sample: runs Forward+Backward with a
   /// one-hot output gradient on a private tape and a null sink, so

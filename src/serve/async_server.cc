@@ -1,6 +1,7 @@
 #include "serve/async_server.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -286,12 +287,17 @@ void AsyncServer::set_observation_listener(ObservationListener* listener) {
   listener_ = listener;
 }
 
+bool ValidObservation(double predicted_ms, double actual_ms) {
+  return std::isfinite(predicted_ms) && std::isfinite(actual_ms) &&
+         predicted_ms > 0.0 && actual_ms > 0.0;
+}
+
 void AsyncServer::ReportObserved(const PlanNode& plan, int env_id,
                                  double predicted_ms, double actual_ms) {
   ObservationListener* listener = nullptr;
   {
     MutexLock lock(&mu_);
-    if (listener_ == nullptr) {
+    if (listener_ == nullptr || !ValidObservation(predicted_ms, actual_ms)) {
       ++stats_.observations_dropped;
       return;
     }

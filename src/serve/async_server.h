@@ -69,6 +69,12 @@ class ObservationListener {
                              double predicted_ms, double actual_ms) = 0;
 };
 
+/// True when an observed (predicted_ms, actual_ms) pair may enter the
+/// adaptation state: both latencies finite and strictly positive. A NaN or
+/// a zero would turn a q-error window's mean, and with it every later drift
+/// verdict, into NaN, and would put a NaN label into the retraining corpus.
+bool ValidObservation(double predicted_ms, double actual_ms);
+
 /// Micro-batcher tuning knobs (PipelineConfig::async_serve carries these).
 struct AsyncServeConfig {
   /// Flush as soon as this many requests are queued.
@@ -107,7 +113,9 @@ struct AsyncServeStats {
   // Observation counters (the observe half of src/adapt); both zero until
   // callers use ReportObserved.
   uint64_t observations = 0;          ///< observations forwarded to a listener
-  uint64_t observations_dropped = 0;  ///< observations with no listener set
+  /// Observations discarded: no listener set, or rejected by
+  /// ValidObservation.
+  uint64_t observations_dropped = 0;
 };
 
 /// Request-queue front end over one CostModel. Thread-safe: any number of
@@ -169,8 +177,9 @@ class AsyncServer {
   /// Reports one observed execution: the caller predicted `predicted_ms`
   /// for (plan, env_id) and later measured `actual_ms`. Forwards to the
   /// attached listener *outside* the queue lock (listeners may do real
-  /// work) and bumps `observations`; with no listener attached the tuple is
-  /// counted in `observations_dropped` and discarded. Thread-safe.
+  /// work) and bumps `observations`; with no listener attached, or when
+  /// ValidObservation rejects the latencies, the tuple is counted in
+  /// `observations_dropped` and discarded. Thread-safe.
   void ReportObserved(const PlanNode& plan, int env_id, double predicted_ms,
                       double actual_ms);
 

@@ -29,9 +29,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -228,6 +230,68 @@ TEST(ObservationSinkTest, ReportObservedCountsAndForwards) {
   server->ReportObserved(plan, 1, 10.0, 20.0);
   EXPECT_EQ(server->stats().observations_dropped, 2u);
   EXPECT_EQ(sink.TotalObservations(), 1u);
+  server->Shutdown();
+}
+
+TEST(ObservationSinkTest, NanObservationDoesNotHideDrift) {
+  // A 64-sample window of 4x q-errors against a 1.3 baseline has clearly
+  // drifted. One NaN actual in the middle used to turn the window mean and
+  // the Page-Hinkley statistic into NaN, so the verdict read "not drifted"
+  // until the ring evicted it.
+  adapt::ObservationWindowConfig wc;
+  wc.window_capacity = 64;
+  adapt::ObservationSink sink(wc);
+  PlanNode plan;
+  plan.actual_ms = 1.0;
+  for (int i = 0; i < 64; ++i) {
+    const double actual = i == 32 ? std::nan("") : 40.0;
+    sink.OnObservation(plan, 3, 10.0, actual);
+  }
+  std::vector<double> window = sink.WindowQErrors(3);
+  EXPECT_EQ(window.size(), 63u);
+  for (double q : window) EXPECT_TRUE(std::isfinite(q));
+  EXPECT_EQ(sink.DroppedObservations(), 1u);
+  EXPECT_EQ(sink.EnvObservations(3), 63u);
+  adapt::DriftConfig cfg;
+  adapt::DriftVerdict v = adapt::DetectDrift(window, 1.3, cfg);
+  EXPECT_TRUE(v.drifted);
+  EXPECT_TRUE(std::isfinite(v.window_mean_qerror));
+}
+
+TEST(ObservationSinkTest, NonFiniteOrNonPositiveLatenciesNeverReachLabels) {
+  adapt::ObservationSink sink;
+  SwappableModel models;  // never published; ReportObserved is model-free
+  AsyncServeConfig scfg;
+  auto server = Pipeline::ServeAsync(&models, scfg);
+  server->set_observation_listener(&sink);
+  PlanNode plan;
+  plan.actual_ms = 2.0;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double bad[][2] = {{std::nan(""), 5.0}, {5.0, std::nan("")},
+                           {inf, 5.0},          {5.0, inf},
+                           {5.0, -inf},         {0.0, 5.0},
+                           {5.0, 0.0},          {-1.0, 5.0}};
+  for (const auto& pa : bad) {
+    sink.OnObservation(plan, 1, pa[0], pa[1]);
+    server->ReportObserved(plan, 1, pa[0], pa[1]);
+  }
+  sink.OnObservation(plan, 1, 5.0, 10.0);
+  server->ReportObserved(plan, 1, 5.0, 20.0);
+
+  const size_t num_bad = sizeof(bad) / sizeof(bad[0]);
+  EXPECT_EQ(sink.DroppedObservations(), num_bad);
+  AsyncServeStats stats = server->stats();
+  EXPECT_EQ(stats.observations_dropped, num_bad);
+  EXPECT_EQ(stats.observations, 1u);
+  EXPECT_EQ(sink.TotalObservations(), 2u);
+  adapt::LabeledCorpus corpus = sink.LabeledSamples();
+  ASSERT_EQ(corpus.samples.size(), 2u);
+  for (const PlanSample& s : corpus.samples) {
+    EXPECT_TRUE(std::isfinite(s.label_ms));
+    EXPECT_GT(s.label_ms, 0.0);
+    EXPECT_TRUE(std::isfinite(SubtreeLatencyMs(*s.plan)));
+  }
+  EXPECT_EQ(sink.WindowQErrors(1), (std::vector<double>{2.0, 4.0}));
   server->Shutdown();
 }
 

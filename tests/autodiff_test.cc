@@ -4,7 +4,10 @@
 /// plan-structured per-node loss, MSCN's pooled set-module loss) against
 /// central differences of TrainingLoss over real workload corpora. These
 /// suites pin the contract chunk-parallel training rests on: backprop reads
-/// only the caller's tape and writes only the caller's sink.
+/// only the caller's tape and writes only the caller's sink. QPPNet's
+/// TrainingLoss runs the wave-batched trainer (one batched unit forward and
+/// delta backward per plan wave, then the in-order gradient reduction), so
+/// its check covers that path end to end.
 
 #include <gtest/gtest.h>
 
@@ -300,6 +303,8 @@ LabeledQuerySet* EstimatorAutodiffTest::corpus_ = nullptr;
 BaseFeaturizer* EstimatorAutodiffTest::featurizer_ = nullptr;
 std::vector<PlanSample>* EstimatorAutodiffTest::samples_ = nullptr;
 
+// Through the wave-batched path: the 16 plans form one batch whose waves
+// each run as a few matrix-batched unit passes.
 TEST_F(EstimatorAutodiffTest, QppNetCompositeLossMatchesFiniteDifferences) {
   QppNet model(featurizer_, QppNetConfig{}, 161);
   TrainConfig cfg;

@@ -18,6 +18,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "models/cost_model.h"
@@ -642,6 +643,274 @@ TEST(KernelAutotuneTest, ProcessTuningIsLazyFixedAndIsaTagged) {
   ScopedKernelIsa tier(KernelIsa::kScalar);
   EXPECT_EQ(kernels::Tuning().isa, KernelIsa::kScalar);
   EXPECT_DOUBLE_EQ(kernels::Tuning().simd_gemm_speedup, 1.0);
+}
+
+// ---------------------------------------------------- in-order reductions
+
+/// Every tier this build can run: scalar first, then the SIMD tiers.
+std::vector<KernelIsa> AllAvailableTiers() {
+  std::vector<KernelIsa> tiers = {KernelIsa::kScalar};
+  for (KernelIsa isa : AvailableSimdTiers()) tiers.push_back(isa);
+  return tiers;
+}
+
+const KernelMode kEveryMode[] = {KernelMode::kAuto, KernelMode::kDense,
+                                 KernelMode::kSparse, KernelMode::kReference};
+
+/// Random entries with the values an in-order chain must not mishandle:
+/// exact zeros, negative zeros and subnormals beside ordinary values.
+Matrix EdgeMatrix(size_t rows, size_t cols, Rng* rng) {
+  Matrix m(rows, cols);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      const double u = rng->Uniform(0.0, 1.0);
+      double v = rng->Gaussian(0.0, 1.0);
+      if (u < 0.25) {
+        v = 0.0;
+      } else if (u < 0.35) {
+        v = -0.0;
+      } else if (u < 0.45) {
+        v = (v < 0.0 ? -1.0 : 1.0) * 1e-310 * rng->Uniform(1.0, 4.0);
+      }
+      m.At(r, c) = v;
+    }
+  }
+  return m;
+}
+
+std::vector<const double*> RowPtrs(const Matrix& m) {
+  std::vector<const double*> rows;
+  for (size_t r = 0; r < m.rows(); ++r) rows.push_back(m.RowPtr(r));
+  return rows;
+}
+
+/// Same bits, or NaN on both sides (NaN payloads are not part of the
+/// contract).
+void ExpectSameBits(const Matrix& want, const Matrix& got, const char* what) {
+  ASSERT_EQ(want.rows(), got.rows()) << what;
+  ASSERT_EQ(want.cols(), got.cols()) << what;
+  for (size_t r = 0; r < want.rows(); ++r) {
+    for (size_t c = 0; c < want.cols(); ++c) {
+      const double w = want.At(r, c);
+      const double g = got.At(r, c);
+      if (std::isnan(w) && std::isnan(g)) continue;
+      EXPECT_EQ(std::signbit(w), std::signbit(g)) << what << " (" << r
+                                                  << ", " << c << ")";
+      EXPECT_EQ(w, g) << what << " (" << r << ", " << c << ")";
+    }
+  }
+}
+
+Matrix RowOf(const Matrix& m, size_t r) {
+  Matrix row(1, m.cols());
+  for (size_t c = 0; c < m.cols(); ++c) row.At(0, c) = m.At(r, c);
+  return row;
+}
+
+/// The per-row loop the in-order AT kernel replaces: a zeroed scratch per
+/// chunk, one 1-row GemmATAccumulate per row, one Add per non-empty chunk.
+Matrix RowLoopAT(const Matrix& a, const Matrix& b,
+                 const std::vector<size_t>& ends, Matrix acc) {
+  size_t begin = 0;
+  for (size_t end : ends) {
+    if (end == begin) continue;
+    Matrix scratch(a.cols(), b.cols());
+    for (size_t r = begin; r < end; ++r) {
+      kernels::GemmATAccumulate(RowOf(a, r), RowOf(b, r), &scratch);
+    }
+    acc.Add(scratch);
+    begin = end;
+  }
+  return acc;
+}
+
+Matrix RowLoopColSum(const Matrix& a, const std::vector<size_t>& ends,
+                     Matrix acc) {
+  size_t begin = 0;
+  for (size_t end : ends) {
+    if (end == begin) continue;
+    Matrix scratch(1, a.cols());
+    for (size_t r = begin; r < end; ++r) {
+      kernels::ColSumAccumulate(RowOf(a, r), &scratch);
+    }
+    acc.Add(scratch);
+    begin = end;
+  }
+  return acc;
+}
+
+struct InOrderCase {
+  size_t rows, m, n;
+  std::vector<size_t> chunk_ends;
+};
+
+const InOrderCase kInOrderCases[] = {
+    {0, 3, 4, {}},                       // no rows at all
+    {0, 3, 4, {0, 0}},                   // only empty chunks
+    {1, 5, 8, {1}},                      // one training row
+    {7, 13, 17, {2, 2, 5, 7}},           // ragged panels, an empty chunk
+    {9, 3, 3, {1, 2, 3, 4, 5, 6, 7, 8, 9}},  // one row per chunk
+    {20, 48, 8, {3, 6, 9, 12, 15, 18, 20}},  // last layer shape
+    {34, 80, 48, {34}},                  // first layer shape, one chunk
+    {34, 81, 50, {3, 6, 9, 9, 12, 20, 34}},  // row and column tails
+};
+
+TEST(InOrderReductionTest, ATMatchesRowLoopInEveryTierAndMode) {
+  Rng rng(401);
+  for (const InOrderCase& c : kInOrderCases) {
+    Matrix a = EdgeMatrix(c.rows, c.m, &rng);
+    Matrix b = EdgeMatrix(c.rows, c.n, &rng);
+    Matrix acc0 = EdgeMatrix(c.m, c.n, &rng);
+    std::vector<const double*> ar = RowPtrs(a), br = RowPtrs(b);
+    const kernels::RowRefs ra{ar.data(), c.rows, c.m};
+    const kernels::RowRefs rb{br.data(), c.rows, c.n};
+    // The chain uses no FMA, so the scalar row loop fixes the bits for
+    // every tier and mode.
+    Matrix want;
+    {
+      ScopedKernelIsa tier(KernelIsa::kScalar);
+      want = RowLoopAT(a, b, c.chunk_ends, acc0);
+    }
+    for (KernelIsa isa : AllAvailableTiers()) {
+      ScopedKernelIsa tier(isa);
+      for (KernelMode mode : kEveryMode) {
+        ScopedKernelMode pin(mode);
+        ExpectSameBits(want, RowLoopAT(a, b, c.chunk_ends, acc0),
+                       "1-row GemmATAccumulate loop");
+        Matrix got = acc0;
+        kernels::InOrderATAccumulate(ra, rb, c.chunk_ends, &got);
+        ExpectSameBits(want, got, "InOrderATAccumulate");
+      }
+    }
+  }
+}
+
+TEST(InOrderReductionTest, ColSumMatchesRowLoopInEveryTierAndMode) {
+  Rng rng(409);
+  for (const InOrderCase& c : kInOrderCases) {
+    Matrix a = EdgeMatrix(c.rows, c.n, &rng);
+    Matrix acc0 = EdgeMatrix(1, c.n, &rng);
+    std::vector<const double*> ar = RowPtrs(a);
+    const kernels::RowRefs ra{ar.data(), c.rows, c.n};
+    Matrix want;
+    {
+      ScopedKernelIsa tier(KernelIsa::kScalar);
+      want = RowLoopColSum(a, c.chunk_ends, acc0);
+    }
+    for (KernelIsa isa : AllAvailableTiers()) {
+      ScopedKernelIsa tier(isa);
+      for (KernelMode mode : kEveryMode) {
+        ScopedKernelMode pin(mode);
+        Matrix got = acc0;
+        kernels::InOrderColSumAccumulate(ra, c.chunk_ends, &got);
+        ExpectSameBits(want, got, "InOrderColSumAccumulate");
+      }
+    }
+  }
+}
+
+TEST(InOrderReductionTest, ZeroEntriesSkipNonFiniteProducts) {
+  // A zero a entry contributes nothing, as in Rank1ATAccumulate, even
+  // where the b row holds an infinity (0 * inf would be NaN).
+  Rng rng(419);
+  Matrix a = EdgeMatrix(6, 9, &rng);
+  Matrix b = EdgeMatrix(6, 16, &rng);
+  b.At(1, 3) = std::numeric_limits<double>::infinity();
+  b.At(4, 12) = -std::numeric_limits<double>::infinity();
+  a.At(1, 0) = 0.0;
+  a.At(4, 2) = -0.0;
+  const std::vector<size_t> ends = {2, 6};
+  std::vector<const double*> ar = RowPtrs(a), br = RowPtrs(b);
+  const kernels::RowRefs ra{ar.data(), 6, 9};
+  const kernels::RowRefs rb{br.data(), 6, 16};
+  Matrix acc0(9, 16);
+  Matrix want;
+  {
+    ScopedKernelIsa tier(KernelIsa::kScalar);
+    ScopedKernelMode pin(KernelMode::kSparse);  // the Rank1ATAccumulate loop
+    want = RowLoopAT(a, b, ends, acc0);
+  }
+  EXPECT_FALSE(std::isnan(want.At(0, 3)));
+  for (KernelIsa isa : AllAvailableTiers()) {
+    ScopedKernelIsa tier(isa);
+    for (KernelMode mode : kEveryMode) {
+      ScopedKernelMode pin(mode);
+      Matrix got = acc0;
+      kernels::InOrderATAccumulate(ra, rb, ends, &got);
+      ExpectSameBits(want, got, "InOrderATAccumulate with infinities");
+    }
+  }
+}
+
+/// The batched-training contract of Mlp: an N-row taped forward and a
+/// delta-recording backward agree with N 1-row passes row for row, and
+/// AccumulateParamGrads equals per-row Backward into a zeroed GradSink per
+/// chunk added in chunk order.
+TEST(InOrderReductionTest, BatchedTapeMatchesOneRowPassesRowForRow) {
+  Rng rng(421);
+  Mlp net({13, 16, 16, 4}, Activation::kRelu, &rng);
+  const size_t n = 9;
+  Matrix x = EdgeMatrix(n, 13, &rng);
+  Matrix g = EdgeMatrix(n, 4, &rng);
+  const std::vector<size_t> ends = {2, 2, 5, 9};
+  for (KernelIsa isa : AllAvailableTiers()) {
+    ScopedKernelIsa tier(isa);
+    for (KernelMode mode : kEveryMode) {
+      ScopedKernelMode pin(mode);
+      Mlp::Tape batch;
+      net.Forward(x, &batch);
+      Matrix gx_full = net.BackwardDeltas(g, &batch, 0);
+      Matrix gx_tail = net.BackwardDeltas(g, &batch, 5);
+      ASSERT_EQ(gx_tail.cols(), 13u - 5u);
+      EXPECT_EQ(net.BackwardDeltas(g, &batch, 13).cols(), 0u);
+
+      std::vector<GradSink> sinks(ends.size());
+      std::vector<Mlp::Tape> singles(n);
+      size_t chunk = 0;
+      for (size_t r = 0; r < n; ++r) {
+        while (ends[chunk] <= r) ++chunk;
+        if (sinks[chunk].size() == 0) sinks[chunk].InitLike(net.Grads());
+        const Matrix& y = net.Forward(RowOf(x, r), &singles[r]);
+        for (size_t c = 0; c < y.cols(); ++c) {
+          EXPECT_EQ(y.At(0, c), batch.activations.back().At(r, c));
+        }
+        Matrix gx1 = net.Backward(RowOf(g, r), &singles[r], &sinks[chunk]);
+        for (size_t c = 0; c < 13; ++c) {
+          EXPECT_EQ(gx1.At(0, c), gx_full.At(r, c)) << "row " << r;
+          if (c >= 5) {
+            EXPECT_EQ(gx1.At(0, c), gx_tail.At(r, c - 5));
+          }
+        }
+        net.BackwardDeltas(RowOf(g, r), &singles[r], 0);
+        for (size_t i = 0; i < net.num_layers(); ++i) {
+          const Matrix& delta = singles[r].deltas[i];
+          for (size_t c = 0; c < delta.cols(); ++c) {
+            EXPECT_EQ(delta.At(0, c), batch.deltas[i].At(r, c))
+                << "layer " << i << " row " << r;
+          }
+        }
+      }
+      std::vector<Matrix> want;
+      for (Matrix* gm : net.Grads()) want.emplace_back(gm->rows(), gm->cols());
+      std::vector<Matrix*> want_ptrs;
+      for (Matrix& m : want) want_ptrs.push_back(&m);
+      for (const GradSink& sink : sinks) {
+        if (sink.size() > 0) sink.AddTo(want_ptrs);
+      }
+
+      std::vector<Mlp::TapeRow> rows;
+      for (size_t r = 0; r < n; ++r) rows.push_back({&batch, r});
+      std::vector<Matrix> got;
+      for (Matrix* gm : net.Grads()) got.emplace_back(gm->rows(), gm->cols());
+      std::vector<Matrix*> got_ptrs;
+      for (Matrix& m : got) got_ptrs.push_back(&m);
+      std::vector<const double*> scratch;
+      net.AccumulateParamGrads(rows, ends, got_ptrs.data(), &scratch);
+      for (size_t i = 0; i < want.size(); ++i) {
+        ExpectSameBits(want[i], got[i], "AccumulateParamGrads");
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------- chunk autotuning
