@@ -1,14 +1,17 @@
-/// Training golden gate: trains a QPPNet on a small sysbench fixture, then
-/// warm-start retrains it, and asserts 64-bit FNV-1a hashes of every
-/// parameter, the full model state (parameters, scalers, Adam step count
-/// and first/second moments, RNG position) and the loss curve against
-/// values recorded from a reference trainer. Any change to the training
+/// Training golden gate: trains a QPPNet and an MSCN on a small sysbench
+/// fixture, then warm-start retrains each, and asserts 64-bit FNV-1a hashes
+/// of every parameter, the full model state (parameters, scalers, Adam step
+/// count and first/second moments, RNG position) and the loss curve against
+/// values recorded from a reference trainer. A diff-prop feature reduction
+/// over both trained models is hashed too (kept sets and scores), which
+/// pins the serving-side forward kernels. Any change to the training
 /// arithmetic — reduction order, kernel chains, loss seeding — shows up
 /// here as a hash mismatch, so a trainer rewrite that claims bit identity
 /// must leave these constants untouched.
 ///
-/// Each case pins one ISA tier and one chunk width (the gradient reduction
-/// order) and must hash identically at 1, 2 and 4 threads.
+/// Each case pins one ISA tier (and, for QPPNet, one chunk width: the
+/// gradient reduction order) and must hash identically at 1, 2 and 4
+/// threads.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "core/feature_reduction.h"
+#include "models/mscn.h"
 #include "models/qppnet.h"
 #include "nn/kernels.h"
 #include "util/serialize.h"
@@ -75,44 +80,76 @@ class TrainGoldenTest : public ::testing::Test {
     featurizer_ = new BaseFeaturizer(db_->catalog());
   }
 
-  /// Trains 5 epochs on the first 160 plans, then warm-start retrains 3
-  /// epochs on the last 80 (an overlapping window, like an adaptation
-  /// retrain), and hashes the result.
-  static TrainHashes TrainAndHash(size_t chunk_size, ThreadPool* pool) {
-    std::vector<PlanSample> first, second;
+  /// The first 160 plans (first fit) and the last 80 (an overlapping
+  /// window, like an adaptation retrain).
+  static void Windows(std::vector<PlanSample>* first,
+                      std::vector<PlanSample>* second) {
     const auto& qs = corpus_->queries;
     for (size_t i = 0; i < qs.size(); ++i) {
       PlanSample s{qs[i].plan.get(), qs[i].env_id, qs[i].total_ms};
-      if (i < 160) first.push_back(s);
-      if (i + 80 >= qs.size()) second.push_back(s);
+      if (i < 160) first->push_back(s);
+      if (i + 80 >= qs.size()) second->push_back(s);
     }
-    QppNet model(featurizer_, QppNetConfig{}, 229);
-    model.set_thread_pool(pool);
+  }
+
+  /// Trains 5 epochs on the first window, then warm-start retrains 3
+  /// epochs on the second, and hashes the result.
+  template <typename Model>
+  static TrainHashes TrainTwiceAndHash(Model* model, size_t chunk_size) {
+    std::vector<PlanSample> first, second;
+    Windows(&first, &second);
     TrainConfig cfg;
     cfg.epochs = 5;
     cfg.batch_size = 32;
     cfg.seed = 233;
     cfg.chunk_size = chunk_size;
     TrainStats s1, s2;
-    EXPECT_TRUE(model.Train(first, cfg, &s1).ok());
+    EXPECT_TRUE(model->Train(first, cfg, &s1).ok());
     cfg.epochs = 3;
     cfg.seed = 239;
-    EXPECT_TRUE(model.Train(second, cfg, &s2).ok());
+    EXPECT_TRUE(model->Train(second, cfg, &s2).ok());
 
     TrainHashes h;
     h.params = kFnvBasis;
-    for (Matrix* p : model.Params()) {
+    for (Matrix* p : model->Params()) {
       for (size_t r = 0; r < p->rows(); ++r) {
         h.params = Fnv1a(p->RowPtr(r), p->cols() * sizeof(double), h.params);
       }
     }
     ByteWriter w;
-    EXPECT_TRUE(model.SaveState(&w).ok());
+    EXPECT_TRUE(model->SaveState(&w).ok());
     h.state = Fnv1a(w.bytes().data(), w.bytes().size(), kFnvBasis);
     h.loss = kFnvBasis;
     for (const TrainStats* s : {&s1, &s2}) {
       h.loss = Fnv1a(s->loss_curve.data(),
                      s->loss_curve.size() * sizeof(double), h.loss);
+    }
+    return h;
+  }
+
+  static TrainHashes TrainAndHash(size_t chunk_size, ThreadPool* pool) {
+    QppNet model(featurizer_, QppNetConfig{}, 229);
+    model.set_thread_pool(pool);
+    return TrainTwiceAndHash(&model, chunk_size);
+  }
+
+  /// Folds a diff-prop reduction of `model` over the first window into
+  /// `h`: every operator type's kept indices and scores, in OpType order.
+  static uint64_t HashReduction(const CostModel& model, ThreadPool* pool,
+                                uint64_t h) {
+    std::vector<PlanSample> first, second;
+    Windows(&first, &second);
+    ReductionConfig rcfg;
+    rcfg.algorithm = ReductionAlgorithm::kDiffProp;
+    rcfg.num_references = 16;
+    auto r = ReduceFeatures(model, first, rcfg, pool);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    if (!r.ok()) return h;
+    for (const auto& [op, res] : r->per_op) {
+      const int op_id = static_cast<int>(op);
+      h = Fnv1a(&op_id, sizeof(op_id), h);
+      h = Fnv1a(res.kept.data(), res.kept.size() * sizeof(size_t), h);
+      h = Fnv1a(res.scores.data(), res.scores.size() * sizeof(double), h);
     }
     return h;
   }
@@ -131,6 +168,35 @@ class TrainGoldenTest : public ::testing::Test {
           << kernels::KernelIsaName(isa) << " chunk_size=" << chunk_size
           << " threads=" << threads << ": got " << Describe(got)
           << ", expected " << Describe(expected);
+    }
+  }
+
+  /// Trains an MSCN under `isa` (auto dispatch) at 1, 2 and 4 threads, then
+  /// reduces it and a QPPNet with the same pool; the MSCN hashes must match
+  /// `expected` and the two reductions `expected_reduction`.
+  static void CheckMscnAndReductionCase(kernels::KernelIsa isa,
+                                        const TrainHashes& expected,
+                                        uint64_t expected_reduction) {
+    kernels::ScopedKernelIsa pin(isa);
+    kernels::ScopedKernelMode mode_pin(kernels::KernelMode::kAuto);
+    ThreadPool two(2), four(4);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &two, &four}) {
+      const size_t threads = pool == nullptr ? 1 : pool->num_workers();
+      Mscn mscn(db_->catalog(), featurizer_, MscnConfig{}, 241);
+      mscn.set_thread_pool(pool);
+      TrainHashes got = TrainTwiceAndHash(&mscn, 0);
+      EXPECT_TRUE(got == expected)
+          << "mscn " << kernels::KernelIsaName(isa) << " threads=" << threads
+          << ": got " << Describe(got) << ", expected " << Describe(expected);
+      QppNet qpp(featurizer_, QppNetConfig{}, 229);
+      qpp.set_thread_pool(pool);
+      TrainTwiceAndHash(&qpp, 0);
+      const uint64_t reduction =
+          HashReduction(mscn, pool, HashReduction(qpp, pool, kFnvBasis));
+      EXPECT_EQ(reduction, expected_reduction)
+          << "reduction " << kernels::KernelIsaName(isa)
+          << " threads=" << threads << ": got 0x" << std::hex << reduction
+          << "ULL";
     }
   }
 
@@ -160,6 +226,16 @@ constexpr TrainHashes kAvx2Chunk1 = {
 constexpr TrainHashes kAvx2Chunk7 = {
     0x9d7b1ff2120a3fbaULL, 0x5d5f772995b899e9ULL, 0xea1d7852939d7477ULL};
 
+// Recorded from the same trainer and reduction as above, under the kernel
+// layer's production dispatch (which the dense, sparse and reference
+// pins reproduce, see KernelModesMatchRecordedHashes).
+constexpr TrainHashes kScalarMscn = {
+    0xf6547c1a10c5c9beULL, 0x01c3241d93d6028aULL, 0x4182449ca914c537ULL};
+constexpr uint64_t kScalarReduction = 0x8d5d9bad37fde6b8ULL;
+constexpr TrainHashes kAvx2Mscn = {
+    0xe6a310cdea0f827dULL, 0xce902d4e80d0fe83ULL, 0x9e0c15a6d3ede8c6ULL};
+constexpr uint64_t kAvx2Reduction = 0xa2c5ec4810c43dd1ULL;
+
 TEST_F(TrainGoldenTest, ScalarTierMatchesRecordedHashes) {
   CheckCase(kernels::KernelIsa::kScalar, 0, kScalarAuto);
   CheckCase(kernels::KernelIsa::kScalar, 1, kScalarChunk1);
@@ -173,6 +249,19 @@ TEST_F(TrainGoldenTest, Avx2TierMatchesRecordedHashes) {
   CheckCase(kernels::KernelIsa::kAvx2, 0, kAvx2Auto);
   CheckCase(kernels::KernelIsa::kAvx2, 1, kAvx2Chunk1);
   CheckCase(kernels::KernelIsa::kAvx2, 7, kAvx2Chunk7);
+}
+
+TEST_F(TrainGoldenTest, ScalarTierMscnAndReductionMatchRecordedHashes) {
+  CheckMscnAndReductionCase(kernels::KernelIsa::kScalar, kScalarMscn,
+                            kScalarReduction);
+}
+
+TEST_F(TrainGoldenTest, Avx2TierMscnAndReductionMatchRecordedHashes) {
+  if (!kernels::KernelIsaAvailable(kernels::KernelIsa::kAvx2)) {
+    GTEST_SKIP() << "AVX2 tier not available on this machine";
+  }
+  CheckMscnAndReductionCase(kernels::KernelIsa::kAvx2, kAvx2Mscn,
+                            kAvx2Reduction);
 }
 
 // Dispatch never changes bits within a tier: the dense and sparse pins
@@ -195,6 +284,20 @@ TEST_F(TrainGoldenTest, KernelModesMatchRecordedHashes) {
       EXPECT_TRUE(got == expected)
           << kernels::KernelIsaName(isa) << " mode=" << static_cast<int>(mode)
           << ": got " << Describe(got) << ", expected " << Describe(expected);
+      const bool scalar = mode == KernelMode::kReference ||
+                          isa == KernelIsa::kScalar;
+      Mscn mscn(db_->catalog(), featurizer_, MscnConfig{}, 241);
+      got = TrainTwiceAndHash(&mscn, 0);
+      EXPECT_TRUE(got == (scalar ? kScalarMscn : kAvx2Mscn))
+          << "mscn " << kernels::KernelIsaName(isa)
+          << " mode=" << static_cast<int>(mode) << ": got " << Describe(got);
+      QppNet qpp(featurizer_, QppNetConfig{}, 229);
+      TrainTwiceAndHash(&qpp, 0);
+      EXPECT_EQ(HashReduction(mscn, nullptr,
+                              HashReduction(qpp, nullptr, kFnvBasis)),
+                scalar ? kScalarReduction : kAvx2Reduction)
+          << "reduction " << kernels::KernelIsaName(isa)
+          << " mode=" << static_cast<int>(mode);
     }
   }
 }
