@@ -5,11 +5,10 @@
 ///
 /// The *Threads benchmarks sweep the thread-pool parallelism layer
 /// (Pipeline::Fit wall-time and batched serving throughput at 1/2/4/8
-/// workers), the *KernelMode benchmarks plus the KernelGemm sweep measure
-/// the register-blocked kernel layer against the historical reference
-/// loops (before/after in one binary), and the *AsyncThroughput benchmarks
-/// measure the micro-batching front end against one-at-a-time PredictMs
-/// under 8 concurrent callers. Best observed timings are written to
+/// workers), the KernelGemm sweep measures the dispatched kernels against
+/// the historical reference loops (before/after in one binary), and the
+/// *AsyncThroughput benchmarks measure the micro-batching front end
+/// against one-at-a-time PredictMs under 8 concurrent callers. Best observed timings are written to
 /// BENCH_parallel.json (machine-readable) when a run includes them, e.g.
 ///   bench_micro --benchmark_filter='Threads|Kernel|Async'
 /// Sections absent from the current run are preserved from an existing
@@ -17,14 +16,14 @@
 ///
 /// `bench_micro --smoke` skips benchmarking and instead runs the kernel
 /// parity sweep end to end, once per ISA tier available on this machine:
-/// under the scalar tier every kernel/dispatch-mode combination must match
-/// the reference loops bit for bit (plus a short two-mode training loop);
-/// under each SIMD tier the same sweep is gated at kSimdRelTolerance and
-/// the per-tier max relative error is reported, plus a three-mode training
-/// loop proving dispatch is bit-invisible *within* the tier. Exits
-/// non-zero on any violation — the CI gate for the kernel layer. (The
-/// QCFE_KERNEL_ISA pin selects the tier used by ordinary dispatch; the
-/// smoke gate still sweeps every tier the hardware and build provide.)
+/// every table slot and dispatched entry point is checked against the
+/// reference loops, bit for bit under the scalar tier and at
+/// kSimdRelTolerance under the AVX2 tier (whose max relative error is
+/// reported), and the dense and sparse slots of each product must agree
+/// bit for bit within the tier. Exits non-zero on any violation — the CI
+/// gate for the kernel layer. (The QCFE_KERNEL_ISA pin selects the tier
+/// used by ordinary dispatch; the smoke gate still sweeps every tier the
+/// hardware and build provide.)
 ///
 /// The *KernelIsa benchmarks measure the scalar tier against the detected
 /// SIMD tier (dense GEMM at the real layer shapes, plus whole-model train
@@ -52,9 +51,8 @@
 #include "harness/evaluate.h"
 #include "models/registry.h"
 #include "nn/kernels.h"
+#include "nn/kernels_internal.h"
 #include "nn/matrix.h"
-#include "nn/mlp.h"
-#include "nn/optimizer.h"
 #include "serve/async_server.h"
 #include "serve/model_swap.h"
 #include "util/check.h"
@@ -315,34 +313,13 @@ struct ParallelBenchRecorder {
     if (!inserted && seconds < it->second) it->second = seconds;
   }
 
-  /// Kernel before/after records: mode 0 = reference replay, 1 = auto
-  /// dispatch. All single-threaded (the kernel layer's own win).
+  /// Kernel before/after records: mode 0 = the reference loops, 1 = the
+  /// dispatched entry point. Single-threaded (the kernel layer's own win).
   void RecordKernelGemm(int shape_index, int mode, double ns) {
     MutexLock lock(&mu);
     auto key = std::make_pair(shape_index, mode);
     auto [it, inserted] = kernel_gemm_ns.emplace(key, ns);
     if (!inserted && ns < it->second) it->second = ns;
-  }
-
-  void RecordKernelTrain(const std::string& model, int mode, double seconds) {
-    MutexLock lock(&mu);
-    auto key = std::make_pair(model, mode);
-    auto [it, inserted] = kernel_train.emplace(key, seconds);
-    if (!inserted && seconds < it->second) it->second = seconds;
-  }
-
-  void RecordKernelServe(const std::string& model, int mode,
-                         double plans_per_sec) {
-    MutexLock lock(&mu);
-    auto key = std::make_pair(model, mode);
-    auto [it, inserted] = kernel_serve.emplace(key, plans_per_sec);
-    if (!inserted && plans_per_sec > it->second) it->second = plans_per_sec;
-  }
-
-  void RecordKernelFit(int mode, double seconds) {
-    MutexLock lock(&mu);
-    auto [it, inserted] = kernel_fit.emplace(mode, seconds);
-    if (!inserted && seconds < it->second) it->second = seconds;
   }
 
   /// SIMD-tier before/after records: tier 0 = scalar ISA pin, 1 = the
@@ -400,8 +377,7 @@ struct ParallelBenchRecorder {
   bool empty() {
     MutexLock lock(&mu);
     return fit_seconds.empty() && serve.empty() && train_seconds.empty() &&
-           kernel_gemm_ns.empty() && kernel_train.empty() &&
-           kernel_serve.empty() && kernel_fit.empty() && async_pps.empty() &&
+           kernel_gemm_ns.empty() && async_pps.empty() &&
            simd_gemm_ns.empty() && simd_train.empty() && simd_serve.empty() &&
            adapt_callers == 0;
   }
@@ -506,9 +482,7 @@ struct ParallelBenchRecorder {
       os << "\n  ]";
     }
     os << ",\n  \"kernels\": ";
-    if (kernel_gemm_ns.empty() && kernel_train.empty() &&
-        kernel_serve.empty() && kernel_fit.empty() &&
-        !carry("kernels").empty()) {
+    if (kernel_gemm_ns.empty() && !carry("kernels").empty()) {
       os << carry("kernels");
     } else {
       WriteKernelsSection(&os);
@@ -572,11 +546,6 @@ struct ParallelBenchRecorder {
   std::map<std::pair<std::string, int>, double> serve QCFE_GUARDED_BY(mu);
   size_t serve_batch QCFE_GUARDED_BY(mu) = 0;
   std::map<std::pair<int, int>, double> kernel_gemm_ns QCFE_GUARDED_BY(mu);
-  std::map<std::pair<std::string, int>, double> kernel_train
-      QCFE_GUARDED_BY(mu);
-  std::map<std::pair<std::string, int>, double> kernel_serve
-      QCFE_GUARDED_BY(mu);
-  std::map<int, double> kernel_fit QCFE_GUARDED_BY(mu);
   std::map<std::pair<std::string, int>, double> async_pps QCFE_GUARDED_BY(mu);
   size_t async_callers QCFE_GUARDED_BY(mu) = 0;
   std::map<std::pair<int, int>, double> simd_gemm_ns QCFE_GUARDED_BY(mu);
@@ -652,43 +621,7 @@ void ParallelBenchRecorder::WriteKernelsSection(std::ofstream* out) {
        << ", \"speedup\": " << (ref > 0 && opt > 0 ? ref / opt : 0.0) << "}";
     first = false;
   }
-  os << "\n    ],\n    \"train\": [";
-  first = true;
-  for (const auto& [key, seconds] : kernel_train) {
-    if (key.second != 1) continue;
-    double ref =
-        kernel_train.count({key.first, 0}) ? kernel_train.at({key.first, 0})
-                                           : 0.0;
-    os << (first ? "" : ",") << "\n      {\"model\": \"" << key.first
-       << "\", \"reference_seconds\": " << ref
-       << ", \"optimized_seconds\": " << seconds << ", \"speedup\": "
-       << (ref > 0 && seconds > 0 ? ref / seconds : 0.0) << "}";
-    first = false;
-  }
-  os << "\n    ],\n    \"predict_batch\": [";
-  first = true;
-  for (const auto& [key, pps] : kernel_serve) {
-    if (key.second != 1) continue;
-    double ref =
-        kernel_serve.count({key.first, 0}) ? kernel_serve.at({key.first, 0})
-                                           : 0.0;
-    os << (first ? "" : ",") << "\n      {\"model\": \"" << key.first
-       << "\", \"batch\": 256, \"reference_plans_per_sec\": " << ref
-       << ", \"optimized_plans_per_sec\": " << pps << ", \"speedup\": "
-       << (ref > 0 && pps > 0 ? pps / ref : 0.0) << "}";
-    first = false;
-  }
-  os << "\n    ],\n    \"fit\": ";
-  if (kernel_fit.count(0) || kernel_fit.count(1)) {
-    double ref = kernel_fit.count(0) ? kernel_fit.at(0) : 0.0;
-    double opt = kernel_fit.count(1) ? kernel_fit.at(1) : 0.0;
-    os << "{\"reference_seconds\": " << ref
-       << ", \"optimized_seconds\": " << opt << ", \"speedup\": "
-       << (ref > 0 && opt > 0 ? ref / opt : 0.0) << "}";
-  } else {
-    os << "{}";
-  }
-  os << "\n  }";
+  os << "\n    ]\n  }";
 }
 
 // qcfe-lint: allow(no-raw-file-io) -- benchmark result recorder, not model-artifact I/O
@@ -752,12 +685,11 @@ void ParallelBenchRecorder::WriteKernelsSimdSection(std::ofstream* out) {
 }
 
 /// One kernel invocation per iteration at the shape table entry
-/// state.range(0), under reference (range(1) == 0) or auto dispatch.
+/// state.range(0): the reference loop (range(1) == 0) or the dispatched
+/// entry point.
 void BM_KernelGemm(benchmark::State& state) {
   const KernelShape& shape = kKernelShapes[state.range(0)];
   const int mode = static_cast<int>(state.range(1));
-  kernels::ScopedKernelMode pin(mode == 0 ? kernels::KernelMode::kReference
-                                          : kernels::KernelMode::kAuto);
   Rng rng(41);
   Matrix a, b, bias, out;
   if (std::strcmp(shape.variant, "nn") == 0) {
@@ -772,15 +704,19 @@ void BM_KernelGemm(benchmark::State& state) {
     b = RandomWithSparsity(shape.k, shape.n, 0.0, &rng);
     out.ResetShape(shape.m, shape.n);
   }
+  kernels::Autotune();  // keep the lazy startup probe out of the timed loop
   WallTimer timer;
   size_t iters = 0;
   for (auto _ : state) {
     if (std::strcmp(shape.variant, "nn") == 0) {
-      kernels::GemmNNBias(a, b, bias, &out);
+      mode == 0 ? kernels::reference::GemmNNBias(a, b, bias, &out)
+                : kernels::GemmNNBias(a, b, bias, &out);
     } else if (std::strcmp(shape.variant, "bt") == 0) {
-      kernels::GemmBT(a, b, &out);
+      mode == 0 ? kernels::reference::GemmBT(a, b, &out)
+                : kernels::GemmBT(a, b, &out);
     } else {
-      kernels::GemmATAccumulate(a, b, &out);
+      mode == 0 ? kernels::reference::GemmATAccumulate(a, b, &out)
+                : kernels::GemmATAccumulate(a, b, &out);
     }
     benchmark::DoNotOptimize(out.data().data());
     ++iters;
@@ -798,16 +734,17 @@ BENCHMARK(BM_KernelGemm)
                    {0, 1}});
 
 /// Scalar tier vs the detected SIMD tier on dense GemmNN at the real layer
-/// shapes (the first six table entries are the "nn" variants). Dispatch is
-/// pinned dense so the sweep times the panel kernels themselves; on a
-/// machine with no SIMD tier both pins resolve to scalar and the recorded
-/// speedup is ~1.
+/// shapes (the first six table entries are the "nn" variants). The sweep
+/// calls the tier's dense slot so it times the panel kernels themselves;
+/// on a machine with no SIMD tier both pins resolve to scalar and the
+/// recorded speedup is ~1.
 void BM_KernelIsaGemm(benchmark::State& state) {
   const KernelShape& shape = kKernelShapes[state.range(0)];
   const int tier = static_cast<int>(state.range(1));
   kernels::ScopedKernelIsa pin_isa(tier == 0 ? kernels::KernelIsa::kScalar
                                              : kernels::DetectKernelIsa());
-  kernels::ScopedKernelMode pin_mode(kernels::KernelMode::kDense);
+  const kernels::internal::KernelTable& table =
+      kernels::internal::ActiveTable();
   Rng rng(43);
   Matrix a = RandomWithSparsity(shape.m, shape.k, shape.sparsity, &rng);
   Matrix b = RandomWithSparsity(shape.k, shape.n, 0.0, &rng);
@@ -815,7 +752,7 @@ void BM_KernelIsaGemm(benchmark::State& state) {
   WallTimer timer;
   size_t iters = 0;
   for (auto _ : state) {
-    kernels::GemmNN(a, b, &out);
+    table.dense_nn(a, b, nullptr, &out, kernels::internal::Epilogue::kNone);
     benchmark::DoNotOptimize(out.data().data());
     ++iters;
   }
@@ -879,82 +816,6 @@ void BM_PredictBatchKernelIsa(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(batch.size()));
 }
-
-/// Before/after single-thread training: the same estimator trained under
-/// the reference kernel replay (mode 0: historical loops, temporary
-/// allocations included) and the production dispatch (mode 1). Models are
-/// bit-identical either way — the sweep isolates pure kernel-layer
-/// throughput, which BENCH_parallel.json records as the train delta.
-template <const char* kModel>
-void BM_TrainKernelMode(benchmark::State& state) {
-  MicroFixture& f = MicroFixture::Get();
-  const int mode = static_cast<int>(state.range(0));
-  kernels::ScopedKernelMode pin(mode == 0 ? kernels::KernelMode::kReference
-                                          : kernels::KernelMode::kAuto);
-  TrainConfig cfg;
-  cfg.epochs = 8;
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto model = EstimatorRegistry::Global()
-                     .Create(kModel, {f.ctx->db->catalog(),
-                                      f.featurizer.get(), 3})
-                     .value();
-    state.ResumeTiming();
-    WallTimer timer;
-    benchmark::DoNotOptimize(model->Train(f.train, cfg, nullptr).ok());
-    ParallelBenchRecorder::Get().RecordKernelTrain(kModel, mode,
-                                                   timer.Seconds());
-  }
-}
-
-/// Before/after single-thread batched serving at batch 256.
-template <const char* kModel>
-void BM_PredictBatchKernelMode(benchmark::State& state) {
-  MicroFixture& f = MicroFixture::Get();
-  const int mode = static_cast<int>(state.range(0));
-  kernels::ScopedKernelMode pin(mode == 0 ? kernels::KernelMode::kReference
-                                          : kernels::KernelMode::kAuto);
-  const CostModel* model =
-      std::string(kModel) == "qppnet" ? f.qpp.get() : f.mscn.get();
-  std::vector<PlanSample> batch = f.BatchOf(256);
-  for (auto _ : state) {
-    WallTimer timer;
-    auto p = model->PredictBatchMs(batch, nullptr);
-    double seconds = timer.Seconds();
-    benchmark::DoNotOptimize(p.ok());
-    if (seconds > 0.0) {
-      ParallelBenchRecorder::Get().RecordKernelServe(
-          kModel, mode, static_cast<double>(batch.size()) / seconds);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batch.size()));
-}
-
-/// Before/after full pipeline fit (snapshot + reduction + training),
-/// single-threaded.
-void BM_PipelineFitKernelMode(benchmark::State& state) {
-  MicroFixture& f = MicroFixture::Get();
-  const int mode = static_cast<int>(state.range(0));
-  kernels::ScopedKernelMode pin(mode == 0 ? kernels::KernelMode::kReference
-                                          : kernels::KernelMode::kAuto);
-  PipelineConfig cfg;
-  cfg.estimator = "qppnet";
-  cfg.train.epochs = 6;
-  cfg.pre_reduction_epochs = 4;
-  cfg.parallelism.num_threads = 1;
-  for (auto _ : state) {
-    WallTimer timer;
-    auto pipeline = f.ctx->FitPipeline(cfg, f.train);
-    double seconds = timer.Seconds();
-    benchmark::DoNotOptimize(pipeline.ok());
-    ParallelBenchRecorder::Get().RecordKernelFit(mode, seconds);
-  }
-}
-BENCHMARK(BM_PipelineFitKernelMode)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
 
 /// Full QCFE pipeline fit (snapshot + reduction + training) at a given
 /// worker count. All thread counts produce bit-identical pipelines, so the
@@ -1068,24 +929,6 @@ BENCHMARK_TEMPLATE(BM_PredictBatchThreads, kMscnName)
     ->Arg(4)
     ->Arg(8)
     ->UseRealTime();
-BENCHMARK_TEMPLATE(BM_TrainKernelMode, kQppName)
-    ->Name("BM_QppNetTrainKernelMode")
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_TEMPLATE(BM_TrainKernelMode, kMscnName)
-    ->Name("BM_MscnTrainKernelMode")
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_TEMPLATE(BM_PredictBatchKernelMode, kQppName)
-    ->Name("BM_QppNetPredictBatchKernelMode")
-    ->Arg(0)
-    ->Arg(1);
-BENCHMARK_TEMPLATE(BM_PredictBatchKernelMode, kMscnName)
-    ->Name("BM_MscnPredictBatchKernelMode")
-    ->Arg(0)
-    ->Arg(1);
 BENCHMARK_TEMPLATE(BM_TrainKernelIsa, kQppName)
     ->Name("BM_QppNetTrainKernelIsa")
     ->Arg(0)
@@ -1317,13 +1160,13 @@ BENCHMARK(BM_DiffPropReduction)->Arg(16)->Arg(64);
 
 // ------------------------------------------------------------ smoke gate
 
-/// End-to-end kernel parity sweep without google-benchmark: every kernel
-/// entry point, every dispatch pin, over the real-shape table plus edge
-/// shapes, and a short two-mode training loop. Returns false on the first
-/// bit mismatch. This is what CI runs as `bench_micro --smoke`.
+/// End-to-end kernel parity sweep without google-benchmark: every table
+/// slot and dispatched entry point of every available tier, over the
+/// real-shape table plus edge shapes. Counts every mismatch and returns
+/// false if there was one. This is what CI runs as `bench_micro --smoke`.
 bool RunKernelSmoke() {
   using kernels::KernelIsa;
-  using kernels::KernelMode;
+  using kernels::internal::Epilogue;
   size_t checks = 0;
   size_t failures = 0;
   auto expect_equal = [&](const Matrix& want, const Matrix& got,
@@ -1382,12 +1225,16 @@ bool RunKernelSmoke() {
   for (const KernelShape& s : kKernelShapes) {
     shapes.push_back({s.m, s.k, s.n, s.sparsity});
   }
-  const KernelMode modes[] = {KernelMode::kAuto, KernelMode::kDense,
-                              KernelMode::kSparse};
-  // Full kernel/mode sweep against the reference loops under whatever ISA
-  // tier is currently pinned: bit gate when `worst` is null (scalar tier),
-  // tolerance gate otherwise.
+  // Full slot sweep against the reference loops under the pinned ISA
+  // tier: bit gate when `worst` is null (scalar tier), tolerance gate
+  // otherwise. The dense and sparse slots of each product must agree bit
+  // for bit in every tier.
   auto sweep = [&](double* worst) {
+    const kernels::internal::KernelTable& t = kernels::internal::ActiveTable();
+    auto gate = [&](const Matrix& want, const Matrix& got, const char* what) {
+      worst ? expect_close(want, got, what, worst)
+            : expect_equal(want, got, what);
+    };
     Rng rng(53);
     for (const EdgeShape& s : shapes) {
       Matrix a = RandomWithSparsity(s.m, s.k, s.sparsity, &rng);
@@ -1396,90 +1243,63 @@ bool RunKernelSmoke() {
       Matrix at_a = RandomWithSparsity(s.k, s.m, s.sparsity, &rng);
       Matrix bt_b = RandomWithSparsity(s.n, s.k, 0.0, &rng);
       Matrix acc_seed = RandomWithSparsity(s.m, s.n, 0.0, &rng);
-      Matrix want_nn, want_relu, want_bt, got;
+      Matrix want_nn, want_relu, want_bt, want_at, dense, sparse, got;
       kernels::reference::GemmNNBias(a, b, bias, &want_nn);
       kernels::reference::GemmNNBiasRelu(a, b, bias, &want_relu);
       kernels::reference::GemmBT(a, bt_b, &want_bt);
+      kernels::reference::GemmAT(at_a, b, &want_at);
       Matrix want_acc = acc_seed;
       kernels::reference::GemmATAccumulate(at_a, b, &want_acc);
-      for (KernelMode mode : modes) {
-        kernels::ScopedKernelMode pin(mode);
-        kernels::GemmNNBias(a, b, bias, &got);
-        worst ? expect_close(want_nn, got, "GemmNNBias", worst)
-              : expect_equal(want_nn, got, "GemmNNBias");
-        kernels::GemmNNBiasRelu(a, b, bias, &got);
-        worst ? expect_close(want_relu, got, "GemmNNBiasRelu", worst)
-              : expect_equal(want_relu, got, "GemmNNBiasRelu");
-        kernels::GemmBT(a, bt_b, &got);
-        worst ? expect_close(want_bt, got, "GemmBT", worst)
-              : expect_equal(want_bt, got, "GemmBT");
-        Matrix acc = acc_seed;
-        kernels::GemmATAccumulate(at_a, b, &acc);
-        worst ? expect_close(want_acc, acc, "GemmATAccumulate", worst)
-              : expect_equal(want_acc, acc, "GemmATAccumulate");
-      }
+
+      t.dense_nn(a, b, &bias, &dense, Epilogue::kBias);
+      gate(want_nn, dense, "dense_nn bias");
+      t.sparse_nn(a, b, &sparse);
+      kernels::internal::BiasPass(bias, &sparse);
+      expect_equal(dense, sparse, "dense_nn vs sparse_nn");
+      kernels::GemmNNBias(a, b, bias, &got);
+      expect_equal(dense, got, "GemmNNBias vs dense_nn");
+      t.dense_nn(a, b, &bias, &got, Epilogue::kBiasRelu);
+      gate(want_relu, got, "dense_nn bias+relu");
+      kernels::GemmNNBiasRelu(a, b, bias, &got);
+      gate(want_relu, got, "GemmNNBiasRelu");
+      t.bt(a, bt_b, &got);
+      gate(want_bt, got, "bt");
+
+      t.at_panel(at_a, b, &dense);
+      gate(want_at, dense, "at_panel");
+      t.at_stream(at_a, b, &sparse);
+      expect_equal(dense, sparse, "at_panel vs at_stream");
+      Matrix acc_panel = acc_seed;
+      t.at_acc_panel(at_a, b, &acc_panel);
+      gate(want_acc, acc_panel, "at_acc_panel");
+      Matrix acc = acc_seed;
+      t.at_acc_sparse(at_a, b, &acc);
+      expect_equal(acc_panel, acc, "at_acc_panel vs at_acc_sparse");
+      acc = acc_seed;
+      kernels::GemmATAccumulate(at_a, b, &acc);
+      expect_equal(acc_panel, acc, "GemmATAccumulate vs at_acc_panel");
+      if (s.k == 0) continue;
+      // The rank-1 slot takes single rows: the first row of each operand.
+      Matrix a1 = at_a.SelectRows({0});
+      Matrix b1 = b.SelectRows({0});
+      Matrix want_rank1 = acc_seed;
+      kernels::reference::GemmATAccumulate(a1, b1, &want_rank1);
+      acc = acc_seed;
+      t.at_acc_rank1(a1, b1, &acc);
+      gate(want_rank1, acc, "at_acc_rank1");
     }
   };
 
-  // Two-mode training loop: byte-identical weights after 10 Adam steps.
-  auto train_flat = [](kernels::KernelMode mode) {
-    kernels::ScopedKernelMode pin(mode);
-    Rng net_rng(59);
-    Mlp net({11, 16, 1}, Activation::kRelu, &net_rng);
-    AdamOptimizer opt(net.Params(), net.Grads(), 1e-2);
-    Matrix x(20, 11);
-    x.RandomizeGaussian(&net_rng, 1.0);
-    Mlp::Tape tape;
-    GradSink sink;
-    for (int step = 0; step < 10; ++step) {
-      opt.ZeroGrad();
-      sink.InitLike(net.Grads());
-      const Matrix& out = net.Forward(x, &tape);
-      Matrix grad(out.rows(), 1);
-      for (size_t r = 0; r < grad.rows(); ++r) {
-        grad.At(r, 0) = out.At(r, 0) - 1.0;
-      }
-      net.Backward(grad, &tape, &sink);
-      sink.AddTo(net.Grads());
-      opt.Step();
-    }
-    std::vector<double> flat;
-    for (Matrix* p : net.Params()) {
-      for (double v : p->data()) flat.push_back(v);
-    }
-    return flat;
-  };
-  // Scalar tier: everything must match the reference loops bit for bit,
-  // including a reference-vs-dispatch training run.
-  {
-    kernels::ScopedKernelIsa tier(KernelIsa::kScalar);
-    sweep(nullptr);
-    std::vector<double> ref = train_flat(KernelMode::kReference);
-    std::vector<double> opt = train_flat(KernelMode::kAuto);
-    ++checks;
-    if (ref != opt) {
-      std::cerr << "smoke: two-mode training produced different weights\n";
-      ++failures;
-    }
-    std::cout << "kernel smoke [scalar]: bit-exact against reference\n";
-  }
-
-  // Each available SIMD tier: the same sweep gated at kSimdRelTolerance,
-  // plus within-tier dispatch invisibility — training under auto/dense/
-  // sparse dispatch must produce bit-identical weights inside one tier.
-  for (KernelIsa isa : {KernelIsa::kAvx2, KernelIsa::kNeon}) {
+  for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
     if (!kernels::KernelIsaAvailable(isa)) continue;
     kernels::ScopedKernelIsa tier(isa);
+    if (isa == KernelIsa::kScalar) {
+      sweep(nullptr);
+      std::cout << "kernel smoke [scalar]: bit-exact against reference\n";
+      continue;
+    }
     double worst = 0.0;
     sweep(&worst);
-    std::vector<double> auto_w = train_flat(KernelMode::kAuto);
-    ++checks;
-    if (auto_w != train_flat(KernelMode::kDense) ||
-        auto_w != train_flat(KernelMode::kSparse)) {
-      std::cerr << "smoke: dispatch modes diverged within the "
-                << kernels::KernelIsaName(isa) << " tier\n";
-      ++failures;
-    }
     std::cout << "kernel smoke [" << kernels::KernelIsaName(isa)
               << "]: max relative error " << worst << " (tolerance "
               << kernels::kSimdRelTolerance << ")\n";

@@ -1,6 +1,8 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -33,9 +35,13 @@ std::map<int, double> ComputeEnvBaselines(const CostModel& model,
     slot.first += QError(samples[i].label_ms, (*preds)[i]);
     slot.second += 1;
   }
+  // A non-finite mean (a NaN or infinite prediction) is no baseline: the
+  // detector falls back to its default, and Load, which rejects such
+  // values, can read back every table Save writes.
   std::map<int, double> out;
   for (const auto& [env_id, sum_count] : acc) {
-    out[env_id] = sum_count.first / static_cast<double>(sum_count.second);
+    const double mean = sum_count.first / static_cast<double>(sum_count.second);
+    if (std::isfinite(mean)) out[env_id] = mean;
   }
   return out;
 }
@@ -697,7 +703,9 @@ Result<std::unique_ptr<Pipeline>> Pipeline::Load(
 
   // Drift baselines are optional: pre-adaptation artifacts have no such
   // section, which decodes as "no baselines" (the DriftDetector then falls
-  // back to its configured default).
+  // back to its configured default). A q-error is finite and >= 1, so any
+  // other value is damage; a NaN would also disable the env's mean-ratio
+  // trip, since no window mean exceeds a NaN threshold.
   const artifact::Section* baseline_section =
       artifact::Find(sections, artifact::kAdaptBaseline);
   if (baseline_section != nullptr) {
@@ -710,7 +718,22 @@ Result<std::unique_ptr<Pipeline>> Pipeline::Load(
       double q = 0.0;
       QCFE_RETURN_IF_ERROR(r.ReadI64(&env_id));
       QCFE_RETURN_IF_ERROR(r.ReadF64(&q));
-      pipeline->env_baseline_qerror_[static_cast<int>(env_id)] = q;
+      if (env_id < std::numeric_limits<int>::min() ||
+          env_id > std::numeric_limits<int>::max()) {
+        return Status::DataLoss("drift baseline env id " +
+                                std::to_string(env_id) + " is out of range");
+      }
+      if (!std::isfinite(q) || q < 1.0) {
+        return Status::DataLoss("drift baseline for env " +
+                                std::to_string(env_id) + " is " +
+                                std::to_string(q) +
+                                "; a mean q-error is finite and >= 1");
+      }
+      if (!pipeline->env_baseline_qerror_.emplace(static_cast<int>(env_id), q)
+               .second) {
+        return Status::DataLoss("duplicate drift baseline for env " +
+                                std::to_string(env_id));
+      }
     }
     QCFE_RETURN_IF_ERROR(RequireFullyConsumed(r, "adapt baseline"));
   }

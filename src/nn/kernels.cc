@@ -20,25 +20,6 @@ namespace {
 using internal::Epilogue;
 using internal::KernelTable;
 
-/// Initial mode honours QCFE_KERNEL_MODE (auto|reference|dense|sparse) so
-/// deployments and benchmarks can pin a path without a rebuild.
-int InitialMode() {
-  const char* env = std::getenv("QCFE_KERNEL_MODE");
-  if (env == nullptr) return static_cast<int>(KernelMode::kAuto);
-  if (std::strcmp(env, "reference") == 0) {
-    return static_cast<int>(KernelMode::kReference);
-  }
-  if (std::strcmp(env, "dense") == 0) {
-    return static_cast<int>(KernelMode::kDense);
-  }
-  if (std::strcmp(env, "sparse") == 0) {
-    return static_cast<int>(KernelMode::kSparse);
-  }
-  return static_cast<int>(KernelMode::kAuto);
-}
-
-std::atomic<int> g_mode{InitialMode()};
-
 /// True when the running CPU executes `isa` (compile-in is checked
 /// separately via the tier table pointers).
 bool CpuSupportsIsa(KernelIsa isa) {
@@ -51,19 +32,16 @@ bool CpuSupportsIsa(KernelIsa isa) {
 #else
       return false;
 #endif
-    case KernelIsa::kNeon:
-#if defined(__aarch64__)
-      return true;
-#else
-      return false;
-#endif
   }
   return false;
 }
 
-/// Initial ISA honours QCFE_KERNEL_ISA (scalar|avx2|neon|auto), clamping
+/// Initial ISA honours QCFE_KERNEL_ISA (scalar|avx2|auto), clamping
 /// unavailable pins to the scalar tier; unset/auto takes the best detected.
 int InitialIsa() {
+  // Read once at static init, before any config exists: the tier is
+  // process-wide, not a per-pipeline setting.
+  // qcfe-lint: allow(no-raw-getenv)
   const char* env = std::getenv("QCFE_KERNEL_ISA");
   KernelIsa isa;
   if (env == nullptr || std::strcmp(env, "auto") == 0) {
@@ -72,8 +50,6 @@ int InitialIsa() {
     isa = KernelIsa::kScalar;
   } else if (std::strcmp(env, "avx2") == 0) {
     isa = KernelIsa::kAvx2;
-  } else if (std::strcmp(env, "neon") == 0) {
-    isa = KernelIsa::kNeon;
   } else {
     isa = DetectKernelIsa();
   }
@@ -91,21 +67,14 @@ const KernelTable& TableFor(KernelIsa isa) {
       QCFE_DCHECK(t != nullptr, "AVX2 tier selected but not compiled in");
       return *t;
     }
-    case KernelIsa::kNeon: {
-      const KernelTable* t = internal::NeonTable();
-      QCFE_DCHECK(t != nullptr, "NEON tier selected but not compiled in");
-      return *t;
-    }
     case KernelIsa::kScalar:
       break;
   }
   return internal::ScalarTable();
 }
 
-const KernelTable& ActiveTable() { return TableFor(GetKernelIsa()); }
-
-/// Compiled-default minimum row count before the kAuto NN dispatch
-/// considers the blocked kernel (the pre-autotuner measured value).
+/// Compiled-default minimum row count before the NN dispatch considers the
+/// blocked kernel (the pre-autotuner measured value).
 constexpr size_t kDefaultDenseMinRows = 32;
 
 KernelTuning DefaultTuning(KernelIsa isa) {
@@ -116,11 +85,6 @@ KernelTuning DefaultTuning(KernelIsa isa) {
   t.simd_gemm_speedup = 1.0;
   t.autotuned = false;
   return t;
-}
-
-bool AutotuneEnabled() {
-  const char* env = std::getenv("QCFE_KERNEL_AUTOTUNE");
-  return env == nullptr || std::strcmp(env, "0") != 0;
 }
 
 /// Deterministic probe input: Gaussian entries with an (approximately)
@@ -156,15 +120,12 @@ double BestNsPerCall(size_t iters, Fn&& fn) {
 /// Per-tier tunings, computed once per process on first use. Probing calls
 /// the tier tables directly (never the dispatched entry points), so the
 /// lazy initialisation cannot recurse into itself.
-const std::array<KernelTuning, 3>& AllTunings() {
-  static const std::array<KernelTuning, 3> tunings = [] {
-    std::array<KernelTuning, 3> out{};
-    const bool enabled = AutotuneEnabled();
-    const KernelIsa all[] = {KernelIsa::kScalar, KernelIsa::kAvx2,
-                             KernelIsa::kNeon};
-    for (KernelIsa isa : all) {
+const std::array<KernelTuning, 2>& AllTunings() {
+  static const std::array<KernelTuning, 2> tunings = [] {
+    std::array<KernelTuning, 2> out{};
+    for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
       KernelTuning t = DefaultTuning(isa);
-      if (enabled && KernelIsaAvailable(isa)) {
+      if (KernelIsaAvailable(isa)) {
         t = SelectTuning(isa, MeasureProbes(isa));
       }
       out[static_cast<size_t>(isa)] = t;
@@ -174,46 +135,22 @@ const std::array<KernelTuning, 3>& AllTunings() {
   return tunings;
 }
 
-/// Picks the sparse row-skip path for the NN family: explicit mode pins
-/// win; kAuto routes skinny batches to the streaming loop and samples the
-/// left operand's density for real batches, against the autotuned
-/// thresholds.
+/// Picks the sparse row-skip path for the NN family: skinny batches go to
+/// the streaming loop, and real batches by the left operand's sampled
+/// density, against the autotuned thresholds.
 bool DispatchSparseNN(const Matrix& a) {
-  switch (GetKernelMode()) {
-    case KernelMode::kSparse:
-      return true;
-    case KernelMode::kDense:
-      return false;
-    default: {
-      const KernelTuning& t = Tuning();
-      return a.rows() < t.dense_min_rows ||
-             ZeroFraction(a) >= t.sparse_dispatch_threshold;
-    }
-  }
-}
-
-/// Blocked vs streaming dispatch for the transposed-operand kernels: the
-/// panel only pays once it amortises operand loads across >= kMr rows.
-bool DispatchBlocked(size_t rows) {
-  switch (GetKernelMode()) {
-    case KernelMode::kSparse:
-      return false;
-    case KernelMode::kDense:
-      return true;
-    default:
-      return rows >= internal::kMr;
-  }
+  const KernelTuning& t = Tuning();
+  return a.rows() < t.dense_min_rows ||
+         ZeroFraction(a) >= t.sparse_dispatch_threshold;
 }
 
 }  // namespace
 
-void SetKernelMode(KernelMode mode) {
-  g_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
+namespace internal {
+const KernelTable& ActiveTable() { return TableFor(GetKernelIsa()); }
+}  // namespace internal
 
-KernelMode GetKernelMode() {
-  return static_cast<KernelMode>(g_mode.load(std::memory_order_relaxed));
-}
+using internal::ActiveTable;
 
 bool KernelIsaAvailable(KernelIsa isa) {
   switch (isa) {
@@ -221,15 +158,12 @@ bool KernelIsaAvailable(KernelIsa isa) {
       return true;
     case KernelIsa::kAvx2:
       return internal::Avx2Table() != nullptr && CpuSupportsIsa(isa);
-    case KernelIsa::kNeon:
-      return internal::NeonTable() != nullptr && CpuSupportsIsa(isa);
   }
   return false;
 }
 
 KernelIsa DetectKernelIsa() {
   if (KernelIsaAvailable(KernelIsa::kAvx2)) return KernelIsa::kAvx2;
-  if (KernelIsaAvailable(KernelIsa::kNeon)) return KernelIsa::kNeon;
   return KernelIsa::kScalar;
 }
 
@@ -248,8 +182,6 @@ const char* KernelIsaName(KernelIsa isa) {
       return "scalar";
     case KernelIsa::kAvx2:
       return "avx2";
-    case KernelIsa::kNeon:
-      return "neon";
   }
   return "unknown";
 }
@@ -392,10 +324,6 @@ void Autotune() {
 // ------------------------------------------------------------- products
 
 void GemmNN(const Matrix& a, const Matrix& b, Matrix* out) {
-  if (GetKernelMode() == KernelMode::kReference) {
-    reference::GemmNN(a, b, out);
-    return;
-  }
   const KernelTable& t = ActiveTable();
   if (DispatchSparseNN(a)) {
     t.sparse_nn(a, b, out);
@@ -406,10 +334,6 @@ void GemmNN(const Matrix& a, const Matrix& b, Matrix* out) {
 
 void GemmNNBias(const Matrix& a, const Matrix& b, const Matrix& bias,
                 Matrix* out) {
-  if (GetKernelMode() == KernelMode::kReference) {
-    reference::GemmNNBias(a, b, bias, out);
-    return;
-  }
   const KernelTable& t = ActiveTable();
   if (DispatchSparseNN(a)) {
     t.sparse_nn(a, b, out);
@@ -421,10 +345,6 @@ void GemmNNBias(const Matrix& a, const Matrix& b, const Matrix& bias,
 
 void GemmNNBiasRelu(const Matrix& a, const Matrix& b, const Matrix& bias,
                     Matrix* out) {
-  if (GetKernelMode() == KernelMode::kReference) {
-    reference::GemmNNBiasRelu(a, b, bias, out);
-    return;
-  }
   const KernelTable& t = ActiveTable();
   if (DispatchSparseNN(a)) {
     t.sparse_nn(a, b, out);
@@ -438,22 +358,14 @@ void GemmNNBiasRelu(const Matrix& a, const Matrix& b, const Matrix& bias,
 void GemmBT(const Matrix& a, const Matrix& b, Matrix* out) {
   // The streamed multi-chain kernel beats the one-dot-at-a-time reference
   // at every row count (the chains hide FMA latency even for a single
-  // a-row), so BT never dispatches by shape — only the reference pin
-  // replays the historical loop.
-  if (GetKernelMode() == KernelMode::kReference) {
-    reference::GemmBT(a, b, out);
-    return;
-  }
+  // a-row), so BT never dispatches by shape.
   ActiveTable().bt(a, b, out);
 }
 
 void GemmAT(const Matrix& a, const Matrix& b, Matrix* out) {
-  if (GetKernelMode() == KernelMode::kReference) {
-    reference::GemmAT(a, b, out);
-    return;
-  }
   const KernelTable& t = ActiveTable();
-  if (!DispatchBlocked(a.rows())) {
+  // The panel only pays once it amortises operand loads across >= kMr rows.
+  if (a.rows() < internal::kMr) {
     t.at_stream(a, b, out);
     return;
   }
@@ -465,23 +377,6 @@ void GemmATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc) {
   QCFE_CHECK(acc->rows() == a.cols() && acc->cols() == b.cols(),
              "GemmATAccumulate: acc must be pre-shaped to a.cols x b.cols");
   const KernelTable& t = ActiveTable();
-  switch (GetKernelMode()) {
-    case KernelMode::kReference:
-      reference::GemmATAccumulate(a, b, acc);
-      return;
-    case KernelMode::kDense:
-      t.at_acc_panel(a, b, acc);
-      return;
-    case KernelMode::kSparse:
-      if (a.rows() == 1) {
-        t.at_acc_rank1(a, b, acc);
-      } else {
-        t.at_acc_sparse(a, b, acc);
-      }
-      return;
-    case KernelMode::kAuto:
-      break;
-  }
   // Rank-1 contractions (single-row batches) have a single term per
   // output element, so they accumulate straight into the sink row-sparsely.
   // Wider contractions keep the full-sum-then-add chains either through the
@@ -501,10 +396,6 @@ void GemmATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc) {
 void ColSumAccumulate(const Matrix& a, Matrix* acc) {
   QCFE_CHECK(acc->rows() == 1 && acc->cols() == a.cols(),
              "ColSumAccumulate: acc must be a pre-shaped 1 x a.cols row");
-  if (GetKernelMode() == KernelMode::kReference) {
-    reference::ColSumAccumulate(a, acc);
-    return;
-  }
   ActiveTable().colsum_acc(a, acc);
 }
 
@@ -530,10 +421,6 @@ void InOrderATAccumulate(const RowRefs& a, const RowRefs& b,
   QCFE_CHECK(acc->rows() == a.cols && acc->cols() == b.cols,
              "InOrderATAccumulate: acc must be pre-shaped to a.cols x b.cols");
   CheckChunkEnds(a.count, chunk_ends);
-  if (GetKernelMode() == KernelMode::kReference) {
-    reference::InOrderATAccumulate(a, b, chunk_ends, acc);
-    return;
-  }
   ActiveTable().in_order_at_acc(a, b, chunk_ends.data(), chunk_ends.size(),
                                 acc);
 }
@@ -544,10 +431,6 @@ void InOrderColSumAccumulate(const RowRefs& a,
   QCFE_CHECK(acc->rows() == 1 && acc->cols() == a.cols,
              "InOrderColSumAccumulate: acc must be a pre-shaped 1 x a.cols row");
   CheckChunkEnds(a.count, chunk_ends);
-  if (GetKernelMode() == KernelMode::kReference) {
-    reference::InOrderColSumAccumulate(a, chunk_ends, acc);
-    return;
-  }
   ActiveTable().in_order_colsum_acc(a, chunk_ends.data(), chunk_ends.size(),
                                     acc);
 }
@@ -603,47 +486,6 @@ void SgdStep(Matrix* p, const Matrix& g, Matrix* v, double lr,
   ActiveTable().sgd_step(p->data().data(), g.data().data(), v->data().data(),
                          p->size(), lr, momentum);
 }
-
-// ------------------------------------------------------------------ simd
-
-namespace simd {
-
-void GemmNN(const Matrix& a, const Matrix& b, Matrix* out) {
-  ActiveTable().dense_nn(a, b, nullptr, out, Epilogue::kNone);
-}
-
-void GemmNNBias(const Matrix& a, const Matrix& b, const Matrix& bias,
-                Matrix* out) {
-  ActiveTable().dense_nn(a, b, &bias, out, Epilogue::kBias);
-}
-
-void GemmNNBiasRelu(const Matrix& a, const Matrix& b, const Matrix& bias,
-                    Matrix* out) {
-  ActiveTable().dense_nn(a, b, &bias, out, Epilogue::kBiasRelu);
-}
-
-void GemmBT(const Matrix& a, const Matrix& b, Matrix* out) {
-  ActiveTable().bt(a, b, out);
-}
-
-void GemmAT(const Matrix& a, const Matrix& b, Matrix* out) {
-  ActiveTable().at_panel(a, b, out);
-}
-
-void GemmATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc) {
-  QCFE_CHECK(a.rows() == b.rows(), "GemmATAccumulate: row-count mismatch");
-  QCFE_CHECK(acc->rows() == a.cols() && acc->cols() == b.cols(),
-             "GemmATAccumulate: acc must be pre-shaped to a.cols x b.cols");
-  ActiveTable().at_acc_panel(a, b, acc);
-}
-
-void ColSumAccumulate(const Matrix& a, Matrix* acc) {
-  QCFE_CHECK(acc->rows() == 1 && acc->cols() == a.cols(),
-             "ColSumAccumulate: acc must be a pre-shaped 1 x a.cols row");
-  ActiveTable().colsum_acc(a, acc);
-}
-
-}  // namespace simd
 
 }  // namespace kernels
 }  // namespace qcfe

@@ -5,21 +5,19 @@
 /// The dedicated NN kernel layer: every forward/backward matrix product in
 /// the training and serving hot paths routes through these entry points.
 ///
-/// Two axes select an implementation:
-///
-///  * **KernelMode** (dispatch path): register-blocked dense panels vs the
-///    historical sparse row-skip loops, chosen density-adaptively under
-///    kAuto; kReference replays the exact pre-kernel-layer code paths.
-///  * **KernelIsa** (instruction tier): the bit-exact scalar tier, the
-///    AVX2+FMA tier, or the AArch64 NEON tier, selected once per process by
-///    runtime CPU detection (overridable via QCFE_KERNEL_ISA).
+/// One axis selects the implementation: the **KernelIsa** instruction
+/// tier, either the bit-exact scalar tier or the AVX2+FMA tier, picked once
+/// per process by runtime CPU detection (overridable via QCFE_KERNEL_ISA).
+/// Builds for other targets (AArch64 included) run the scalar tier. Within
+/// a tier, each entry point picks a table slot from the operand's shape and
+/// density: the register-blocked dense panel or the sparse row-skip loop.
 ///
 /// Determinism contract. Within one ISA tier, every kernel accumulates each
 /// output element's contraction terms in ascending-k order into a single
-/// accumulator seeded with +0.0 (a fused-multiply-add chain on the SIMD
-/// tiers, a plain multiply-add chain on the scalar tier). Skipping an
+/// accumulator seeded with +0.0 (a fused-multiply-add chain on the AVX2
+/// tier, a plain multiply-add chain on the scalar tier). Skipping an
 /// exactly-zero product term cannot change the accumulator bits, so the
-/// dense path (which includes zero terms) and the sparse path (which skips
+/// dense slot (which includes zero terms) and the sparse slot (which skips
 /// them) are bit-identical for finite inputs, at any shape, batch size and
 /// dispatch decision — *within a tier*. The `*Accumulate` forms compute the
 /// full contraction first and add it to the destination with one unfused
@@ -32,16 +30,14 @@
 ///
 /// Autotuning. The dispatch thresholds (dense-vs-streaming row crossover,
 /// sparse-vs-dense zero-fraction crossover) are measured once per process
-/// by a lazy startup micro-probe over real layer shapes (see Autotune()),
-/// falling back to compiled defaults when QCFE_KERNEL_AUTOTUNE=0. Because
-/// dispatch is bit-safe within a tier, a different tuning never changes
-/// results — only speed.
+/// by a lazy startup micro-probe over real layer shapes (see Autotune());
+/// the compiled defaults are only the fallback for malformed probe data.
+/// Because dispatch is bit-safe within a tier, a different tuning never
+/// changes results — only speed.
 ///
-/// KernelMode::kReference exists for parity tests and before/after
-/// benchmarking: it replays the exact pre-kernel-layer code paths
-/// (including their temporary allocations), so "reference vs auto"
-/// measures this layer's end-to-end win while tests assert the results
-/// stay bit-equal (under the scalar tier) or within tolerance (SIMD).
+/// The `reference` loops below are the bit-exact baseline: the parity
+/// tests and `bench_micro --smoke` compare every tier's table slots
+/// against them, and the before/after GEMM benchmark times them.
 
 #include <cstddef>
 #include <vector>
@@ -51,62 +47,31 @@
 namespace qcfe {
 namespace kernels {
 
-/// Process-wide dispatch override. kAuto is the production setting;
-/// kReference replays the historical unblocked loops (and temporary
-/// allocations) for parity tests and before/after benchmarks; kDense and
-/// kSparse pin one dispatch path so tests can cover both on any input.
-enum class KernelMode {
-  kAuto,
-  kReference,
-  kDense,
-  kSparse,
-};
-
-/// Sets/reads the process-wide kernel mode (atomic; safe to flip between
-/// parallel regions, not during one).
-void SetKernelMode(KernelMode mode);
-KernelMode GetKernelMode();
-
-/// RAII mode pin for tests and benchmarks.
-class ScopedKernelMode {
- public:
-  explicit ScopedKernelMode(KernelMode mode) : saved_(GetKernelMode()) {
-    SetKernelMode(mode);
-  }
-  ~ScopedKernelMode() { SetKernelMode(saved_); }
-  ScopedKernelMode(const ScopedKernelMode&) = delete;
-  ScopedKernelMode& operator=(const ScopedKernelMode&) = delete;
-
- private:
-  KernelMode saved_;
-};
-
 // ------------------------------------------------------------- ISA tiers
 
 /// Instruction-set tier backing the kernel implementations. kScalar is the
-/// bit-exact reference arithmetic, always available; the SIMD tiers are
-/// available when both compiled in and supported by the running CPU.
+/// bit-exact reference arithmetic, always available; kAvx2 is available
+/// when both compiled in and supported by the running CPU.
 enum class KernelIsa {
   kScalar,
   kAvx2,
-  kNeon,
 };
 
 /// True when `isa` is both compiled into this binary and supported by the
-/// running CPU (runtime detection: CPUID on x86, baseline on AArch64).
+/// running CPU (runtime CPUID detection).
 bool KernelIsaAvailable(KernelIsa isa);
 
-/// The best available tier on this machine (kAvx2 > kNeon > kScalar).
+/// The best available tier on this machine (kAvx2 > kScalar).
 KernelIsa DetectKernelIsa();
 
 /// Sets/reads the process-wide kernel ISA tier (atomic; safe to flip
 /// between parallel regions, not during one). Setting an unavailable tier
 /// clamps to kScalar. The initial value honours QCFE_KERNEL_ISA
-/// (scalar|avx2|neon|auto; unavailable pins clamp, auto = detection).
+/// (scalar|avx2|auto; unavailable pins clamp, auto = detection).
 void SetKernelIsa(KernelIsa isa);
 KernelIsa GetKernelIsa();
 
-/// Lower-case tier name ("scalar", "avx2", "neon") for logs and JSON.
+/// Lower-case tier name ("scalar", "avx2") for logs and JSON.
 const char* KernelIsaName(KernelIsa isa);
 
 /// RAII ISA pin for tests and benchmarks.
@@ -123,7 +88,7 @@ class ScopedKernelIsa {
   KernelIsa saved_;
 };
 
-/// Documented cross-tier tolerance: SIMD contraction kernels (FMA chains,
+/// Documented cross-tier tolerance: AVX2 contraction kernels (FMA chains,
 /// and GemmBT's lane-split reduction) may differ from the scalar tier by
 /// this relative error per element. The parity gates in
 /// tests/kernels_test.cc and `bench_micro --smoke` enforce it.
@@ -135,19 +100,18 @@ constexpr double kSimdRelTolerance = 1e-12;
 /// BENCH_parallel.json by bench_micro so tuned values are visible.
 struct KernelTuning {
   KernelIsa isa = KernelIsa::kScalar;
-  /// Minimum a.rows() before the kAuto NN dispatch considers the blocked
+  /// Minimum a.rows() before the NN dispatch considers the blocked
   /// dense kernel; below it the streaming row-skip loop wins. SIZE_MAX
   /// means the probe never saw the panel win (always stream by row count).
   size_t dense_min_rows = 0;
-  /// Zero-fraction threshold at/above which kAuto dispatch prefers the
+  /// Zero-fraction threshold at/above which dispatch prefers the
   /// sparse row-skip path. 0.0 = always sparse; > 1.0 = never sparse.
   double sparse_dispatch_threshold = 0.0;
   /// Probe-measured dense GemmNN speedup of this tier over the scalar tier
   /// on a real layer shape (scalar_ns / tier_ns); 1.0 for the scalar tier.
   double simd_gemm_speedup = 1.0;
   /// True when the thresholds came from the startup micro-probe; false for
-  /// the compiled defaults (QCFE_KERNEL_AUTOTUNE=0, unavailable tier, or
-  /// malformed probe data).
+  /// the compiled defaults (unavailable tier or malformed probe data).
   bool autotuned = false;
 };
 
@@ -189,8 +153,7 @@ ProbeMeasurements MeasureProbes(KernelIsa isa);
 KernelTuning SelectTuning(KernelIsa isa, const ProbeMeasurements& probes);
 
 /// The active tier's tuning. Lazily runs the micro-probe for every
-/// available tier on first use (honouring QCFE_KERNEL_AUTOTUNE=0, which
-/// pins the compiled defaults); the result is fixed for the process.
+/// available tier on first use; the result is fixed for the process.
 const KernelTuning& Tuning();
 
 /// Forces the lazy micro-probe to run now (e.g. before entering a timed
@@ -203,7 +166,7 @@ void Autotune();
 double ZeroFraction(const Matrix& m);
 
 /// Compiled-default zero-fraction threshold above which dispatch prefers
-/// the sparse row-skip path (used verbatim when autotuning is disabled).
+/// the sparse row-skip path (used when the probe data is malformed).
 /// The row-skip's saving scales linearly with the zero fraction while the
 /// blocked panel's register-reuse win on fully dense inputs is bounded, so
 /// the crossover sits well below half: plan-feature and one-hot set inputs
@@ -257,8 +220,7 @@ void ColSumAccumulate(const Matrix& a, Matrix* acc);
 // rows [chunk_ends[c-1], chunk_ends[c]), with chunk_ends[-1] = 0. The last
 // entry must equal the row count, and an empty chunk adds nothing. The
 // chains use only single-rounding multiplies and adds, never an FMA or a
-// cross-lane reduction, so every tier and every KernelMode gives the same
-// bits.
+// cross-lane reduction, so every tier gives the same bits.
 
 /// Row-ordered operand of the in-order kernels: logical row r is the
 /// `cols` doubles at rows[r]. The rows may live in any number of matrices,
@@ -300,7 +262,7 @@ void ReluMaskBackward(const Matrix& grad_out, const Matrix& pre_activation,
 
 /// One Adam update of `p` (with first/second-moment state `m`/`v`) from
 /// gradient `g`; bc1/bc2 are the precomputed bias corrections 1 - beta^t.
-/// All four matrices must share one shape. Vectorized on the SIMD tiers
+/// All four matrices must share one shape. Vectorized on the AVX2 tier
 /// with single-rounding lane ops only, so the update is bit-identical
 /// across every tier.
 void AdamStep(Matrix* p, const Matrix& g, Matrix* m, Matrix* v, double lr,
@@ -311,29 +273,11 @@ void AdamStep(Matrix* p, const Matrix& g, Matrix* m, Matrix* v, double lr,
 void SgdStep(Matrix* p, const Matrix& g, Matrix* v, double lr,
              double momentum);
 
-// ------------------------------------------------------------------ simd
-// Direct entry points into the active ISA tier's dense register-panel
-// kernels: no KernelMode consultation, no density dispatch. Benchmarks and
-// the per-tier parity gates use these to measure/validate one tier's
-// vectorized path in isolation; production code should call the dispatched
-// forms above.
-namespace simd {
-void GemmNN(const Matrix& a, const Matrix& b, Matrix* out);
-void GemmNNBias(const Matrix& a, const Matrix& b, const Matrix& bias,
-                Matrix* out);
-void GemmNNBiasRelu(const Matrix& a, const Matrix& b, const Matrix& bias,
-                    Matrix* out);
-void GemmBT(const Matrix& a, const Matrix& b, Matrix* out);
-void GemmAT(const Matrix& a, const Matrix& b, Matrix* out);
-void GemmATAccumulate(const Matrix& a, const Matrix& b, Matrix* acc);
-void ColSumAccumulate(const Matrix& a, Matrix* acc);
-}  // namespace simd
-
 // ------------------------------------------------------------- reference
 // The historical unblocked loops, self-contained (no dispatch, scalar
-// arithmetic). Parity tests compare every blocked/sparse kernel against
-// these bit for bit under the scalar tier, and within kSimdRelTolerance
-// under the SIMD tiers.
+// arithmetic). Parity tests compare every table slot against these bit for
+// bit under the scalar tier, and within kSimdRelTolerance under the AVX2
+// tier.
 namespace reference {
 void GemmNN(const Matrix& a, const Matrix& b, Matrix* out);
 void GemmNNBias(const Matrix& a, const Matrix& b, const Matrix& bias,

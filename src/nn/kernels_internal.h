@@ -4,8 +4,9 @@
 /// \file kernels_internal.h
 /// The tier dispatch table shared between the public kernel front end
 /// (kernels.cc) and the per-ISA implementation translation units
-/// (kernels_scalar.cc, kernels_simd_avx2.cc, kernels_simd_neon.cc). Not a
-/// public header: include kernels.h instead.
+/// (kernels_scalar.cc, kernels_simd_avx2.cc). Not a public header: include
+/// kernels.h instead; tests and bench_micro include it to reach one table
+/// slot directly.
 ///
 /// Every tier fills one KernelTable with the same set of operations; the
 /// front end picks a table once per call from the process-wide active ISA.
@@ -73,20 +74,22 @@ struct KernelTable {
                    double lr, double momentum);
 };
 
-/// The bit-exact scalar tier (always available; also the reference tier's
-/// arithmetic).
+/// The bit-exact scalar tier (always available; the same arithmetic as the
+/// reference loops).
 const KernelTable& ScalarTable();
 
 /// The AVX2+FMA tier; null when the build does not compile it in
 /// (QCFE_ENABLE_AVX2=OFF or a non-x86 target).
 const KernelTable* Avx2Table();
 
-/// The NEON tier; null when the build does not compile it in.
-const KernelTable* NeonTable();
+/// The active ISA tier's table (kernels.h SetKernelIsa). The dispatched
+/// entry points go through it; tests and benchmarks call its slots to
+/// reach one specific path, such as the dense or the sparse product.
+const KernelTable& ActiveTable();
 
 /// The scalar tier's in-order reductions. Their chains are single-rounding
-/// multiplies and adds, so any tier may reuse them as they are (the NEON
-/// tier reuses both, the AVX2 tier the column sums).
+/// multiplies and adds, so any tier may reuse them as they are (the AVX2
+/// tier reuses the column sums).
 void ScalarInOrderATAccumulate(const RowRefs& a, const RowRefs& b,
                                const size_t* chunk_ends, size_t num_chunks,
                                Matrix* acc);
@@ -94,7 +97,7 @@ void ScalarInOrderColSumAccumulate(const RowRefs& a, const size_t* chunk_ends,
                                    size_t num_chunks, Matrix* acc);
 
 /// Separate bias / ReLU passes for paths that accumulate in memory (the
-/// sparse product and the reference replay): identical per-element
+/// sparse product and the reference loops): identical per-element
 /// arithmetic to the fused epilogues in every tier (one IEEE add / one
 /// compare-select per element).
 void BiasPass(const Matrix& bias, Matrix* out);

@@ -3,8 +3,8 @@
 /// Every accumulation here is a plain mul-then-add chain in ascending
 /// contraction order (the determinism contract in kernels.h); this
 /// translation unit is compiled with -ffp-contract=off so the compiler can
-/// never fuse those chains into FMAs behind the contract's back. The SIMD
-/// tiers (kernels_simd_*.cc) are gated against this tier at a documented
+/// never fuse those chains into FMAs behind the contract's back. The AVX2
+/// tier (kernels_simd_avx2.cc) is gated against this tier at a documented
 /// tolerance; the scalar tier itself is gated against `reference` bit for
 /// bit.
 
@@ -313,7 +313,7 @@ void ColSumAccumulateImpl(const Matrix& a, Matrix* acc) {
 }
 
 /// Scalar Adam update: two muls + one add per moment, IEEE sqrt/div. The
-/// SIMD tiers replay exactly these operations lane-wise (each a single
+/// AVX2 tier replays exactly these operations lane-wise (each a single
 /// rounding), so the optimizer step is bit-identical across tiers.
 void AdamStepImpl(double* __restrict p, const double* __restrict g,
                   double* __restrict m, double* __restrict v, size_t n,

@@ -44,19 +44,6 @@ const Matrix& Mlp::Forward(const Matrix& input, Tape* tape) const {
   QCFE_CHECK(tape != nullptr, "Mlp::Forward requires a caller-owned tape");
   QCFE_CHECK(layers_.empty() || in_dim_ == 0 || input.cols() == in_dim_,
              "Mlp::Forward input width does not match the network's in_dim");
-  if (kernels::GetKernelMode() == kernels::KernelMode::kReference) {
-    // Historical replay for before/after benchmarks: fresh activation
-    // matrices every call (same values, allocator included).
-    tape->activations.clear();
-    tape->activations.reserve(layers_.size() + 1);
-    Matrix x = input;
-    for (const auto& layer : layers_) {
-      tape->activations.push_back(std::move(x));
-      x = layer->Forward(tape->activations.back());
-    }
-    tape->activations.push_back(std::move(x));
-    return tape->activations.back();
-  }
   // Reuse the tape's activation matrices across calls (reshaped in place),
   // so a steady-shape training loop never allocates on the forward pass.
   auto& acts = tape->activations;
@@ -81,8 +68,6 @@ const Matrix& Mlp::Predict(const Matrix& input, Scratch* scratch) const {
   }
   const Matrix* src = &input;
   Matrix* dst = &scratch->ping;
-  const bool fuse =
-      kernels::GetKernelMode() != kernels::KernelMode::kReference;
   size_t i = 0;
   while (i < layers_.size()) {
     const Layer& layer = *layers_[i];
@@ -90,7 +75,7 @@ const Matrix& Mlp::Predict(const Matrix& input, Scratch* scratch) const {
     // collapses into one fused kernel: the ReLU applies while the output
     // panel is still in registers and one whole intermediate write+read
     // pass disappears.
-    if (fuse && layer.kind() == LayerKind::kLinear &&
+    if (layer.kind() == LayerKind::kLinear &&
         i + 1 < layers_.size() &&
         layers_[i + 1]->kind() == LayerKind::kRelu) {
       static_cast<const LinearLayer&>(layer).ForwardReluInto(*src, dst);
@@ -120,22 +105,6 @@ const Matrix& Mlp::Backward(const Matrix& grad_output, Tape* tape,
   // in reverse while keeping the running offset past the current layer.
   size_t offset = sink == nullptr ? 0 : sink->size();
   Matrix* const* slots = sink == nullptr ? nullptr : sink->slots();
-  if (kernels::GetKernelMode() == kernels::KernelMode::kReference) {
-    // Historical replay: one freshly allocated gradient matrix per layer.
-    Matrix g = grad_output;
-    for (size_t i = layers_.size(); i > 0; --i) {
-      const Layer& layer = *layers_[i - 1];
-      Matrix* const* param_grads = nullptr;
-      if (sink != nullptr) {
-        offset -= layer.num_param_grads();
-        if (layer.num_param_grads() > 0) param_grads = slots + offset;
-      }
-      g = layer.Backward(g, tape->activations[i - 1], tape->activations[i],
-                         param_grads);
-    }
-    tape->grad_ping = std::move(g);
-    return tape->grad_ping;
-  }
   // The running gradient lives in the tape's ping-pong scratch: elementwise
   // layers mask it in place, linear layers write the opposite buffer.
   // Values are identical to the allocating walk — only the storage moved.

@@ -1,18 +1,16 @@
 /// Parity suite for the NN kernel layer (nn/kernels.h).
 ///
-/// Under the scalar ISA tier, every blocked / sparse / fused kernel must
-/// produce exactly the bits of the historical reference loops, across edge
-/// shapes (0-row, 1-row, odd and prime dims, all-zero rows, fully dense)
-/// and at every dispatch pin — those tests pin ScopedKernelIsa(kScalar).
-/// The SIMD tiers (AVX2/NEON, when available) are gated against the
-/// reference at kSimdRelTolerance instead (FMA's single rounding legally
-/// changes contraction bits), and must be *bit*-consistent within
-/// themselves: batched vs row-by-row execution, every dispatch pin, and
-/// the optimizer/colsum kernels (which use no FMA) stay bit-identical to
-/// scalar on every tier. On top of the kernel-level checks, whole-model
-/// parity: an Mlp trained step by step under each kernel mode must end
-/// with byte-identical weights. The autotuner's pure threshold selection
-/// (SelectTuning) is unit-tested with injected timings.
+/// Every tier's table slots (kernels_internal.h) are checked against the
+/// reference loops across edge shapes (0-row, 1-row, odd and prime dims,
+/// all-zero rows, fully dense): the scalar tier bit for bit, the AVX2 tier
+/// (when available) at kSimdRelTolerance, since FMA's single rounding
+/// legally changes contraction bits. Each tier must also be bit-consistent
+/// within itself: the dense and sparse slots of one product agree, as do
+/// batched and row-by-row execution, and the optimizer/colsum kernels
+/// (which use no FMA) give the scalar bits on every tier. The dispatched
+/// entry points are checked on top of the slots, and the autotuner's pure
+/// threshold selection (SelectTuning) is unit-tested with injected timings.
+/// Whole-model training bits are pinned by train_golden_test.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +21,7 @@
 
 #include "models/cost_model.h"
 #include "nn/kernels.h"
+#include "nn/kernels_internal.h"
 #include "nn/layers.h"
 #include "nn/matrix.h"
 #include "nn/mlp.h"
@@ -33,9 +32,9 @@ namespace qcfe {
 namespace {
 
 using kernels::KernelIsa;
-using kernels::KernelMode;
 using kernels::ScopedKernelIsa;
-using kernels::ScopedKernelMode;
+using kernels::internal::ActiveTable;
+using kernels::internal::Epilogue;
 
 /// (rows, cols) of the left operand x inner/right dims, plus the zero
 /// fraction to plant. Shapes cover register-panel edges: sub-panel, exact
@@ -80,25 +79,32 @@ void ExpectBitEqual(const Matrix& a, const Matrix& b, const char* what) {
   }
 }
 
-const KernelMode kAllModes[] = {KernelMode::kAuto, KernelMode::kDense,
-                                KernelMode::kSparse};
+/// Every tier this build can run: scalar first, then AVX2 when available.
+std::vector<KernelIsa> AllAvailableTiers() {
+  std::vector<KernelIsa> tiers = {KernelIsa::kScalar};
+  if (kernels::KernelIsaAvailable(KernelIsa::kAvx2)) {
+    tiers.push_back(KernelIsa::kAvx2);
+  }
+  return tiers;
+}
 
-TEST(KernelParityTest, GemmNNMatchesReferenceAcrossShapesAndModes) {
-  // Bit-exactness against the reference holds in the scalar tier; the SIMD
-  // tiers are gated at kSimdRelTolerance by SimdTierTest below.
+// The bit-exact gates below pin the scalar tier; the AVX2 tier is gated
+// at kSimdRelTolerance by SimdTierTest.
+
+TEST(KernelParityTest, GemmNNSlotsMatchReferenceAcrossShapes) {
   ScopedKernelIsa tier(KernelIsa::kScalar);
   Rng rng(11);
   for (const GemmCase& c : kCases) {
     Matrix a = RandomMatrix(c.m, c.k, c.sparsity, &rng);
     Matrix b = RandomMatrix(c.k, c.n, 0.0, &rng);
-    Matrix want;
+    Matrix want, got;
     kernels::reference::GemmNN(a, b, &want);
-    for (KernelMode mode : kAllModes) {
-      ScopedKernelMode pin(mode);
-      Matrix got;
-      kernels::GemmNN(a, b, &got);
-      ExpectBitEqual(want, got, "GemmNN");
-    }
+    ActiveTable().dense_nn(a, b, nullptr, &got, Epilogue::kNone);
+    ExpectBitEqual(want, got, "dense_nn");
+    ActiveTable().sparse_nn(a, b, &got);
+    ExpectBitEqual(want, got, "sparse_nn");
+    kernels::GemmNN(a, b, &got);
+    ExpectBitEqual(want, got, "GemmNN");
   }
 }
 
@@ -109,57 +115,53 @@ TEST(KernelParityTest, FusedBiasAndReluEpiloguesMatchSeparatePasses) {
     Matrix a = RandomMatrix(c.m, c.k, c.sparsity, &rng);
     Matrix b = RandomMatrix(c.k, c.n, 0.0, &rng);
     Matrix bias = RandomMatrix(1, c.n, 0.0, &rng);
-    Matrix want_bias, want_relu;
+    Matrix want_bias, want_relu, got;
     kernels::reference::GemmNNBias(a, b, bias, &want_bias);
     kernels::reference::GemmNNBiasRelu(a, b, bias, &want_relu);
-    for (KernelMode mode : kAllModes) {
-      ScopedKernelMode pin(mode);
-      Matrix got;
-      kernels::GemmNNBias(a, b, bias, &got);
-      ExpectBitEqual(want_bias, got, "GemmNNBias");
-      kernels::GemmNNBiasRelu(a, b, bias, &got);
-      ExpectBitEqual(want_relu, got, "GemmNNBiasRelu");
-    }
+    ActiveTable().dense_nn(a, b, &bias, &got, Epilogue::kBias);
+    ExpectBitEqual(want_bias, got, "dense_nn bias");
+    ActiveTable().dense_nn(a, b, &bias, &got, Epilogue::kBiasRelu);
+    ExpectBitEqual(want_relu, got, "dense_nn bias+relu");
+    kernels::GemmNNBias(a, b, bias, &got);
+    ExpectBitEqual(want_bias, got, "GemmNNBias");
+    kernels::GemmNNBiasRelu(a, b, bias, &got);
+    ExpectBitEqual(want_relu, got, "GemmNNBiasRelu");
   }
 }
 
-TEST(KernelParityTest, GemmBTMatchesReferenceAcrossShapesAndModes) {
+TEST(KernelParityTest, GemmBTMatchesReferenceAcrossShapes) {
   ScopedKernelIsa tier(KernelIsa::kScalar);
   Rng rng(13);
   for (const GemmCase& c : kCases) {
     // BT contracts over columns: a is (m x k), b is (n x k).
     Matrix a = RandomMatrix(c.m, c.k, c.sparsity, &rng);
     Matrix b = RandomMatrix(c.n, c.k, 0.0, &rng);
-    Matrix want;
+    Matrix want, got;
     kernels::reference::GemmBT(a, b, &want);
-    for (KernelMode mode : kAllModes) {
-      ScopedKernelMode pin(mode);
-      Matrix got;
-      kernels::GemmBT(a, b, &got);
-      ExpectBitEqual(want, got, "GemmBT");
-    }
+    kernels::GemmBT(a, b, &got);
+    ExpectBitEqual(want, got, "GemmBT");
   }
 }
 
-TEST(KernelParityTest, GemmATMatchesReferenceAcrossShapesAndModes) {
+TEST(KernelParityTest, GemmATSlotsMatchReferenceAcrossShapes) {
   ScopedKernelIsa tier(KernelIsa::kScalar);
   Rng rng(14);
   for (const GemmCase& c : kCases) {
     // AT contracts over rows: a is (k x m), b is (k x n).
     Matrix a = RandomMatrix(c.k, c.m, c.sparsity, &rng);
     Matrix b = RandomMatrix(c.k, c.n, 0.0, &rng);
-    Matrix want;
+    Matrix want, got;
     kernels::reference::GemmAT(a, b, &want);
-    for (KernelMode mode : kAllModes) {
-      ScopedKernelMode pin(mode);
-      Matrix got;
-      kernels::GemmAT(a, b, &got);
-      ExpectBitEqual(want, got, "GemmAT");
-    }
+    ActiveTable().at_panel(a, b, &got);
+    ExpectBitEqual(want, got, "at_panel");
+    ActiveTable().at_stream(a, b, &got);
+    ExpectBitEqual(want, got, "at_stream");
+    kernels::GemmAT(a, b, &got);
+    ExpectBitEqual(want, got, "GemmAT");
   }
 }
 
-TEST(KernelParityTest, GemmATAccumulateMatchesTemporaryPlusAdd) {
+TEST(KernelParityTest, GemmATAccumulateSlotsMatchTemporaryPlusAdd) {
   ScopedKernelIsa tier(KernelIsa::kScalar);
   Rng rng(15);
   for (const GemmCase& c : kCases) {
@@ -170,27 +172,38 @@ TEST(KernelParityTest, GemmATAccumulateMatchesTemporaryPlusAdd) {
     Matrix seed = RandomMatrix(c.m, c.n, 0.0, &rng);
     Matrix want = seed;
     kernels::reference::GemmATAccumulate(a, b, &want);
-    for (KernelMode mode : kAllModes) {
-      ScopedKernelMode pin(mode);
-      Matrix got = seed;
-      kernels::GemmATAccumulate(a, b, &got);
-      ExpectBitEqual(want, got, "GemmATAccumulate");
-    }
+    Matrix got = seed;
+    ActiveTable().at_acc_panel(a, b, &got);
+    ExpectBitEqual(want, got, "at_acc_panel");
+    got = seed;
+    ActiveTable().at_acc_sparse(a, b, &got);
+    ExpectBitEqual(want, got, "at_acc_sparse");
+    got = seed;
+    kernels::GemmATAccumulate(a, b, &got);
+    ExpectBitEqual(want, got, "GemmATAccumulate");
+    // The rank-1 slot takes single rows: the first row of each operand.
+    if (c.k == 0) continue;
+    Matrix a1 = a.SelectRows({0});
+    Matrix b1 = b.SelectRows({0});
+    want = seed;
+    kernels::reference::GemmATAccumulate(a1, b1, &want);
+    got = seed;
+    ActiveTable().at_acc_rank1(a1, b1, &got);
+    ExpectBitEqual(want, got, "at_acc_rank1");
   }
 }
 
 TEST(KernelParityTest, ColSumAccumulateMatchesColSumPlusAdd) {
-  // Deliberately NOT pinned to the scalar tier: column sums are vertical
-  // (no FMA, no lane reductions), so every ISA tier must reproduce the
-  // reference bits exactly.
+  // Column sums are vertical (no FMA, no lane reductions), so every ISA
+  // tier must reproduce the reference bits exactly.
   Rng rng(16);
   for (const GemmCase& c : kCases) {
     Matrix a = RandomMatrix(c.m, c.n, c.sparsity, &rng);
     Matrix seed = RandomMatrix(1, c.n, 0.0, &rng);
     Matrix want = seed;
     kernels::reference::ColSumAccumulate(a, &want);
-    for (KernelMode mode : kAllModes) {
-      ScopedKernelMode pin(mode);
+    for (KernelIsa isa : AllAvailableTiers()) {
+      ScopedKernelIsa tier(isa);
       Matrix got = seed;
       kernels::ColSumAccumulate(a, &got);
       ExpectBitEqual(want, got, "ColSumAccumulate");
@@ -245,70 +258,24 @@ TEST(MatrixKernelTest, ColMeanMatchesColSumScaled) {
 
 // ------------------------------------------------------- whole-model parity
 
-/// Trains a small Mlp for a few Adam steps under `mode`; returns the final
-/// flattened parameters.
-std::vector<double> TrainUnderMode(KernelMode mode) {
-  // Scalar tier: the reference replay is scalar arithmetic, so bit-equal
-  // whole-model training across modes is only promised there.
-  ScopedKernelIsa tier(KernelIsa::kScalar);
-  ScopedKernelMode pin(mode);
-  Rng rng(77);
-  Mlp net({9, 16, 16, 1}, Activation::kRelu, &rng);
-  AdamOptimizer opt(net.Params(), net.Grads(), 1e-2);
-  Matrix x = RandomMatrix(24, 9, 0.6, &rng);
-  std::vector<double> y(24);
-  for (size_t i = 0; i < y.size(); ++i) y[i] = rng.Gaussian(0.0, 1.0);
-  Mlp::Tape tape;
-  GradSink sink;
-  for (int step = 0; step < 20; ++step) {
-    opt.ZeroGrad();
-    sink.InitLike(net.Grads());
-    const Matrix& out = net.Forward(x, &tape);
-    Matrix grad(out.rows(), 1);
-    for (size_t r = 0; r < out.rows(); ++r) {
-      grad.At(r, 0) = 2.0 * (out.At(r, 0) - y[r]) / 24.0;
-    }
-    net.Backward(grad, &tape, &sink);
-    sink.AddTo(net.Grads());
-    opt.Step();
-  }
-  std::vector<double> flat;
-  for (Matrix* p : net.Params()) {
-    for (double v : p->data()) flat.push_back(v);
-  }
-  return flat;
-}
-
-TEST(KernelModelParityTest, TrainingIsBitIdenticalAcrossKernelModes) {
-  std::vector<double> reference = TrainUnderMode(KernelMode::kReference);
-  for (KernelMode mode : kAllModes) {
-    std::vector<double> got = TrainUnderMode(mode);
-    ASSERT_EQ(reference.size(), got.size());
-    for (size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(reference[i], got[i])
-          << "param " << i << " under mode " << static_cast<int>(mode);
-    }
-  }
-}
-
-TEST(KernelModelParityTest, FusedServingForwardMatchesLayerwisePredict) {
+TEST(MlpKernelParityTest, FusedServingForwardMatchesLayerwisePredict) {
   Rng rng(79);
   Mlp net({7, 12, 12, 2}, Activation::kRelu, &rng);
   Matrix x = RandomMatrix(17, 7, 0.4, &rng);
-  Matrix rowwise = net.Predict(x);  // layer-by-layer, allocating
-  for (KernelMode mode : kAllModes) {
-    ScopedKernelMode pin(mode);
+  for (KernelIsa isa : AllAvailableTiers()) {
+    ScopedKernelIsa tier(isa);
+    Matrix rowwise = net.Predict(x);  // layer-by-layer, allocating
     Mlp::Scratch scratch;
     const Matrix& fused = net.Predict(x, &scratch);
     ASSERT_EQ(rowwise.rows(), fused.rows());
     for (size_t i = 0; i < rowwise.data().size(); ++i) {
       EXPECT_EQ(rowwise.data()[i], fused.data()[i])
-          << "mode " << static_cast<int>(mode);
+          << "tier " << kernels::KernelIsaName(isa);
     }
   }
 }
 
-TEST(KernelModelParityTest, TapeReuseDoesNotChangeForwardBackward) {
+TEST(MlpKernelParityTest, TapeReuseDoesNotChangeForwardBackward) {
   // One tape serving many different batches (the training arena pattern)
   // must give the same bits as a fresh tape each time.
   Rng rng(81);
@@ -339,13 +306,8 @@ TEST(KernelModelParityTest, TapeReuseDoesNotChangeForwardBackward) {
 /// the tier tests then validate nothing, and the scalar suite above is the
 /// whole contract).
 std::vector<KernelIsa> AvailableSimdTiers() {
-  std::vector<KernelIsa> tiers;
-  if (kernels::KernelIsaAvailable(KernelIsa::kAvx2)) {
-    tiers.push_back(KernelIsa::kAvx2);
-  }
-  if (kernels::KernelIsaAvailable(KernelIsa::kNeon)) {
-    tiers.push_back(KernelIsa::kNeon);
-  }
+  std::vector<KernelIsa> tiers = AllAvailableTiers();
+  tiers.erase(tiers.begin());
   return tiers;
 }
 
@@ -368,13 +330,14 @@ void ExpectWithinRelTol(const Matrix& want, const Matrix& got,
   }
 }
 
-TEST(SimdTierTest, ProductsMatchReferenceWithinToleranceOnEdgeShapes) {
-  // The satellite edge-shape sweep: 0-row, 1x1, prime dims, all-zero left
-  // operands and tail columns not divisible by the vector width all live
-  // in kCases. Every dispatch pin must stay inside the documented
-  // tolerance on every available SIMD tier.
+TEST(SimdTierTest, SlotsMatchReferenceWithinToleranceOnEdgeShapes) {
+  // The edge-shape sweep: 0-row, 1x1, prime dims, all-zero left operands
+  // and tail columns not divisible by the vector width all live in kCases.
+  // Every table slot must stay inside the documented tolerance on every
+  // available SIMD tier.
   for (KernelIsa isa : AvailableSimdTiers()) {
     ScopedKernelIsa tier(isa);
+    const kernels::internal::KernelTable& t = ActiveTable();
     Rng rng(21);
     for (const GemmCase& c : kCases) {
       Matrix a = RandomMatrix(c.m, c.k, c.sparsity, &rng);
@@ -382,66 +345,96 @@ TEST(SimdTierTest, ProductsMatchReferenceWithinToleranceOnEdgeShapes) {
       Matrix bias = RandomMatrix(1, c.n, 0.0, &rng);
       Matrix want, got;
       kernels::reference::GemmNN(a, b, &want);
-      for (KernelMode mode : kAllModes) {
-        ScopedKernelMode pin(mode);
-        kernels::GemmNN(a, b, &got);
-        ExpectWithinRelTol(want, got, "simd GemmNN");
-      }
+      t.dense_nn(a, b, nullptr, &got, Epilogue::kNone);
+      ExpectWithinRelTol(want, got, "simd dense_nn");
+      t.sparse_nn(a, b, &got);
+      ExpectWithinRelTol(want, got, "simd sparse_nn");
       kernels::reference::GemmNNBiasRelu(a, b, bias, &want);
-      kernels::simd::GemmNNBiasRelu(a, b, bias, &got);
-      ExpectWithinRelTol(want, got, "simd GemmNNBiasRelu");
+      t.dense_nn(a, b, &bias, &got, Epilogue::kBiasRelu);
+      ExpectWithinRelTol(want, got, "simd dense_nn bias+relu");
       Matrix bt = RandomMatrix(c.n, c.k, 0.0, &rng);
       kernels::reference::GemmBT(a, bt, &want);
-      kernels::simd::GemmBT(a, bt, &got);
-      ExpectWithinRelTol(want, got, "simd GemmBT");
+      t.bt(a, bt, &got);
+      ExpectWithinRelTol(want, got, "simd bt");
       Matrix at_a = RandomMatrix(c.k, c.m, c.sparsity, &rng);
       Matrix at_b = RandomMatrix(c.k, c.n, 0.0, &rng);
       kernels::reference::GemmAT(at_a, at_b, &want);
-      kernels::simd::GemmAT(at_a, at_b, &got);
-      ExpectWithinRelTol(want, got, "simd GemmAT");
+      t.at_panel(at_a, at_b, &got);
+      ExpectWithinRelTol(want, got, "simd at_panel");
+      t.at_stream(at_a, at_b, &got);
+      ExpectWithinRelTol(want, got, "simd at_stream");
       Matrix seed = RandomMatrix(c.m, c.n, 0.0, &rng);
       want = seed;
-      got = seed;
       kernels::reference::GemmATAccumulate(at_a, at_b, &want);
-      kernels::simd::GemmATAccumulate(at_a, at_b, &got);
-      ExpectWithinRelTol(want, got, "simd GemmATAccumulate");
+      got = seed;
+      t.at_acc_panel(at_a, at_b, &got);
+      ExpectWithinRelTol(want, got, "simd at_acc_panel");
+      got = seed;
+      t.at_acc_sparse(at_a, at_b, &got);
+      ExpectWithinRelTol(want, got, "simd at_acc_sparse");
+      if (c.k == 0) continue;
+      Matrix a1 = at_a.SelectRows({0});
+      Matrix b1 = at_b.SelectRows({0});
+      want = seed;
+      kernels::reference::GemmATAccumulate(a1, b1, &want);
+      got = seed;
+      t.at_acc_rank1(a1, b1, &got);
+      ExpectWithinRelTol(want, got, "simd at_acc_rank1");
     }
   }
 }
 
-TEST(SimdTierTest, DispatchPathsAreBitIdenticalWithinEachTier) {
-  // The within-tier determinism contract: under one pinned tier, dense vs
-  // sparse dispatch and batched vs row-by-row execution must agree bit for
-  // bit (per-element chains depend only on the element's own inputs).
-  std::vector<KernelIsa> tiers = AvailableSimdTiers();
-  tiers.push_back(KernelIsa::kScalar);
-  for (KernelIsa isa : tiers) {
+TEST(SimdTierTest, SlotsAreBitIdenticalWithinEachTier) {
+  // The within-tier determinism contract: under one pinned tier, the dense
+  // and sparse slots of each product, the dispatched entry point, and
+  // batched vs row-by-row execution agree bit for bit (per-element chains
+  // depend only on the element's own inputs).
+  for (KernelIsa isa : AllAvailableTiers()) {
     ScopedKernelIsa tier(isa);
+    const kernels::internal::KernelTable& t = ActiveTable();
+    const char* name = kernels::KernelIsaName(isa);
     Rng rng(23);
     for (const GemmCase& c : kCases) {
       Matrix a = RandomMatrix(c.m, c.k, c.sparsity, &rng);
       Matrix b = RandomMatrix(c.k, c.n, 0.0, &rng);
-      Matrix dense, sparse;
-      {
-        ScopedKernelMode pin(KernelMode::kDense);
-        kernels::GemmNN(a, b, &dense);
-      }
-      {
-        ScopedKernelMode pin(KernelMode::kSparse);
-        kernels::GemmNN(a, b, &sparse);
-      }
-      ExpectBitEqual(dense, sparse, "dense vs sparse dispatch");
-      // Batched product vs each row alone through the same entry point.
+      Matrix dense, sparse, dispatched;
+      t.dense_nn(a, b, nullptr, &dense, Epilogue::kNone);
+      t.sparse_nn(a, b, &sparse);
+      ExpectBitEqual(dense, sparse, "dense_nn vs sparse_nn");
+      kernels::GemmNN(a, b, &dispatched);
+      ExpectBitEqual(dense, dispatched, "dense_nn vs GemmNN");
+      // Batched product vs each row alone through the same slot.
       for (size_t r = 0; r < c.m; ++r) {
         Matrix row = a.SelectRows({r});
         Matrix row_out;
-        kernels::simd::GemmNN(row, b, &row_out);
+        t.dense_nn(row, b, nullptr, &row_out, Epilogue::kNone);
         for (size_t j = 0; j < c.n; ++j) {
           ASSERT_EQ(row_out.At(0, j), dense.At(r, j))
-              << "batched vs row-wise, tier " << kernels::KernelIsaName(isa)
-              << " row " << r << " col " << j;
+              << "batched vs row-wise, tier " << name << " row " << r
+              << " col " << j;
         }
       }
+      // a^T * b: the register panel vs the streaming loop, overwrite and
+      // accumulate forms, and the rank-1 slot on single rows.
+      Matrix at_a = RandomMatrix(c.k, c.m, c.sparsity, &rng);
+      Matrix at_b = RandomMatrix(c.k, c.n, 0.0, &rng);
+      Matrix panel, stream;
+      t.at_panel(at_a, at_b, &panel);
+      t.at_stream(at_a, at_b, &stream);
+      ExpectBitEqual(panel, stream, "at_panel vs at_stream");
+      Matrix seed = RandomMatrix(c.m, c.n, 0.0, &rng);
+      Matrix acc_panel = seed, acc_sparse = seed;
+      t.at_acc_panel(at_a, at_b, &acc_panel);
+      t.at_acc_sparse(at_a, at_b, &acc_sparse);
+      ExpectBitEqual(acc_panel, acc_sparse, "at_acc_panel vs at_acc_sparse");
+      if (c.k == 0) continue;
+      Matrix a1 = at_a.SelectRows({0});
+      Matrix b1 = at_b.SelectRows({0});
+      Matrix acc_rank1 = seed;
+      acc_panel = seed;
+      t.at_acc_rank1(a1, b1, &acc_rank1);
+      t.at_acc_panel(a1, b1, &acc_panel);
+      ExpectBitEqual(acc_panel, acc_rank1, "at_acc_panel vs at_acc_rank1");
     }
   }
 }
@@ -501,18 +494,17 @@ TEST(SimdTierTest, IsaStateClampsAndReportsNames) {
   // An unavailable pin clamps to the scalar tier instead of crashing in a
   // missing table.
   const KernelIsa saved = kernels::GetKernelIsa();
-  kernels::SetKernelIsa(KernelIsa::kNeon);
-  if (!kernels::KernelIsaAvailable(KernelIsa::kNeon)) {
+  kernels::SetKernelIsa(KernelIsa::kAvx2);
+  if (!kernels::KernelIsaAvailable(KernelIsa::kAvx2)) {
     EXPECT_EQ(kernels::GetKernelIsa(), KernelIsa::kScalar);
   } else {
-    EXPECT_EQ(kernels::GetKernelIsa(), KernelIsa::kNeon);
+    EXPECT_EQ(kernels::GetKernelIsa(), KernelIsa::kAvx2);
   }
   kernels::SetKernelIsa(saved);
   EXPECT_TRUE(kernels::KernelIsaAvailable(KernelIsa::kScalar));
   EXPECT_TRUE(kernels::KernelIsaAvailable(kernels::DetectKernelIsa()));
   EXPECT_STREQ(kernels::KernelIsaName(KernelIsa::kScalar), "scalar");
   EXPECT_STREQ(kernels::KernelIsaName(KernelIsa::kAvx2), "avx2");
-  EXPECT_STREQ(kernels::KernelIsaName(KernelIsa::kNeon), "neon");
 }
 
 // ------------------------------------------------------ matrix alignment
@@ -647,16 +639,6 @@ TEST(KernelAutotuneTest, ProcessTuningIsLazyFixedAndIsaTagged) {
 
 // ---------------------------------------------------- in-order reductions
 
-/// Every tier this build can run: scalar first, then the SIMD tiers.
-std::vector<KernelIsa> AllAvailableTiers() {
-  std::vector<KernelIsa> tiers = {KernelIsa::kScalar};
-  for (KernelIsa isa : AvailableSimdTiers()) tiers.push_back(isa);
-  return tiers;
-}
-
-const KernelMode kEveryMode[] = {KernelMode::kAuto, KernelMode::kDense,
-                                 KernelMode::kSparse, KernelMode::kReference};
-
 /// Random entries with the values an in-order chain must not mishandle:
 /// exact zeros, negative zeros and subnormals beside ordinary values.
 Matrix EdgeMatrix(size_t rows, size_t cols, Rng* rng) {
@@ -755,7 +737,7 @@ const InOrderCase kInOrderCases[] = {
     {34, 81, 50, {3, 6, 9, 9, 12, 20, 34}},  // row and column tails
 };
 
-TEST(InOrderReductionTest, ATMatchesRowLoopInEveryTierAndMode) {
+TEST(InOrderReductionTest, ATMatchesRowLoopInEveryTier) {
   Rng rng(401);
   for (const InOrderCase& c : kInOrderCases) {
     Matrix a = EdgeMatrix(c.rows, c.m, &rng);
@@ -765,27 +747,27 @@ TEST(InOrderReductionTest, ATMatchesRowLoopInEveryTierAndMode) {
     const kernels::RowRefs ra{ar.data(), c.rows, c.m};
     const kernels::RowRefs rb{br.data(), c.rows, c.n};
     // The chain uses no FMA, so the scalar row loop fixes the bits for
-    // every tier and mode.
+    // every tier and for the reference loop.
     Matrix want;
     {
       ScopedKernelIsa tier(KernelIsa::kScalar);
       want = RowLoopAT(a, b, c.chunk_ends, acc0);
     }
+    Matrix ref = acc0;
+    kernels::reference::InOrderATAccumulate(ra, rb, c.chunk_ends, &ref);
+    ExpectSameBits(want, ref, "reference::InOrderATAccumulate");
     for (KernelIsa isa : AllAvailableTiers()) {
       ScopedKernelIsa tier(isa);
-      for (KernelMode mode : kEveryMode) {
-        ScopedKernelMode pin(mode);
-        ExpectSameBits(want, RowLoopAT(a, b, c.chunk_ends, acc0),
-                       "1-row GemmATAccumulate loop");
-        Matrix got = acc0;
-        kernels::InOrderATAccumulate(ra, rb, c.chunk_ends, &got);
-        ExpectSameBits(want, got, "InOrderATAccumulate");
-      }
+      ExpectSameBits(want, RowLoopAT(a, b, c.chunk_ends, acc0),
+                     "1-row GemmATAccumulate loop");
+      Matrix got = acc0;
+      kernels::InOrderATAccumulate(ra, rb, c.chunk_ends, &got);
+      ExpectSameBits(want, got, "InOrderATAccumulate");
     }
   }
 }
 
-TEST(InOrderReductionTest, ColSumMatchesRowLoopInEveryTierAndMode) {
+TEST(InOrderReductionTest, ColSumMatchesRowLoopInEveryTier) {
   Rng rng(409);
   for (const InOrderCase& c : kInOrderCases) {
     Matrix a = EdgeMatrix(c.rows, c.n, &rng);
@@ -797,14 +779,14 @@ TEST(InOrderReductionTest, ColSumMatchesRowLoopInEveryTierAndMode) {
       ScopedKernelIsa tier(KernelIsa::kScalar);
       want = RowLoopColSum(a, c.chunk_ends, acc0);
     }
+    Matrix ref = acc0;
+    kernels::reference::InOrderColSumAccumulate(ra, c.chunk_ends, &ref);
+    ExpectSameBits(want, ref, "reference::InOrderColSumAccumulate");
     for (KernelIsa isa : AllAvailableTiers()) {
       ScopedKernelIsa tier(isa);
-      for (KernelMode mode : kEveryMode) {
-        ScopedKernelMode pin(mode);
-        Matrix got = acc0;
-        kernels::InOrderColSumAccumulate(ra, c.chunk_ends, &got);
-        ExpectSameBits(want, got, "InOrderColSumAccumulate");
-      }
+      Matrix got = acc0;
+      kernels::InOrderColSumAccumulate(ra, c.chunk_ends, &got);
+      ExpectSameBits(want, got, "InOrderColSumAccumulate");
     }
   }
 }
@@ -827,18 +809,14 @@ TEST(InOrderReductionTest, ZeroEntriesSkipNonFiniteProducts) {
   Matrix want;
   {
     ScopedKernelIsa tier(KernelIsa::kScalar);
-    ScopedKernelMode pin(KernelMode::kSparse);  // the Rank1ATAccumulate loop
-    want = RowLoopAT(a, b, ends, acc0);
+    want = RowLoopAT(a, b, ends, acc0);  // 1-row: the Rank1ATAccumulate loop
   }
   EXPECT_FALSE(std::isnan(want.At(0, 3)));
   for (KernelIsa isa : AllAvailableTiers()) {
     ScopedKernelIsa tier(isa);
-    for (KernelMode mode : kEveryMode) {
-      ScopedKernelMode pin(mode);
-      Matrix got = acc0;
-      kernels::InOrderATAccumulate(ra, rb, ends, &got);
-      ExpectSameBits(want, got, "InOrderATAccumulate with infinities");
-    }
+    Matrix got = acc0;
+    kernels::InOrderATAccumulate(ra, rb, ends, &got);
+    ExpectSameBits(want, got, "InOrderATAccumulate with infinities");
   }
 }
 
@@ -855,60 +833,57 @@ TEST(InOrderReductionTest, BatchedTapeMatchesOneRowPassesRowForRow) {
   const std::vector<size_t> ends = {2, 2, 5, 9};
   for (KernelIsa isa : AllAvailableTiers()) {
     ScopedKernelIsa tier(isa);
-    for (KernelMode mode : kEveryMode) {
-      ScopedKernelMode pin(mode);
-      Mlp::Tape batch;
-      net.Forward(x, &batch);
-      Matrix gx_full = net.BackwardDeltas(g, &batch, 0);
-      Matrix gx_tail = net.BackwardDeltas(g, &batch, 5);
-      ASSERT_EQ(gx_tail.cols(), 13u - 5u);
-      EXPECT_EQ(net.BackwardDeltas(g, &batch, 13).cols(), 0u);
+    Mlp::Tape batch;
+    net.Forward(x, &batch);
+    Matrix gx_full = net.BackwardDeltas(g, &batch, 0);
+    Matrix gx_tail = net.BackwardDeltas(g, &batch, 5);
+    ASSERT_EQ(gx_tail.cols(), 13u - 5u);
+    EXPECT_EQ(net.BackwardDeltas(g, &batch, 13).cols(), 0u);
 
-      std::vector<GradSink> sinks(ends.size());
-      std::vector<Mlp::Tape> singles(n);
-      size_t chunk = 0;
-      for (size_t r = 0; r < n; ++r) {
-        while (ends[chunk] <= r) ++chunk;
-        if (sinks[chunk].size() == 0) sinks[chunk].InitLike(net.Grads());
-        const Matrix& y = net.Forward(RowOf(x, r), &singles[r]);
-        for (size_t c = 0; c < y.cols(); ++c) {
-          EXPECT_EQ(y.At(0, c), batch.activations.back().At(r, c));
-        }
-        Matrix gx1 = net.Backward(RowOf(g, r), &singles[r], &sinks[chunk]);
-        for (size_t c = 0; c < 13; ++c) {
-          EXPECT_EQ(gx1.At(0, c), gx_full.At(r, c)) << "row " << r;
-          if (c >= 5) {
-            EXPECT_EQ(gx1.At(0, c), gx_tail.At(r, c - 5));
-          }
-        }
-        net.BackwardDeltas(RowOf(g, r), &singles[r], 0);
-        for (size_t i = 0; i < net.num_layers(); ++i) {
-          const Matrix& delta = singles[r].deltas[i];
-          for (size_t c = 0; c < delta.cols(); ++c) {
-            EXPECT_EQ(delta.At(0, c), batch.deltas[i].At(r, c))
-                << "layer " << i << " row " << r;
-          }
+    std::vector<GradSink> sinks(ends.size());
+    std::vector<Mlp::Tape> singles(n);
+    size_t chunk = 0;
+    for (size_t r = 0; r < n; ++r) {
+      while (ends[chunk] <= r) ++chunk;
+      if (sinks[chunk].size() == 0) sinks[chunk].InitLike(net.Grads());
+      const Matrix& y = net.Forward(RowOf(x, r), &singles[r]);
+      for (size_t c = 0; c < y.cols(); ++c) {
+        EXPECT_EQ(y.At(0, c), batch.activations.back().At(r, c));
+      }
+      Matrix gx1 = net.Backward(RowOf(g, r), &singles[r], &sinks[chunk]);
+      for (size_t c = 0; c < 13; ++c) {
+        EXPECT_EQ(gx1.At(0, c), gx_full.At(r, c)) << "row " << r;
+        if (c >= 5) {
+          EXPECT_EQ(gx1.At(0, c), gx_tail.At(r, c - 5));
         }
       }
-      std::vector<Matrix> want;
-      for (Matrix* gm : net.Grads()) want.emplace_back(gm->rows(), gm->cols());
-      std::vector<Matrix*> want_ptrs;
-      for (Matrix& m : want) want_ptrs.push_back(&m);
-      for (const GradSink& sink : sinks) {
-        if (sink.size() > 0) sink.AddTo(want_ptrs);
+      net.BackwardDeltas(RowOf(g, r), &singles[r], 0);
+      for (size_t i = 0; i < net.num_layers(); ++i) {
+        const Matrix& delta = singles[r].deltas[i];
+        for (size_t c = 0; c < delta.cols(); ++c) {
+          EXPECT_EQ(delta.At(0, c), batch.deltas[i].At(r, c))
+              << "layer " << i << " row " << r;
+        }
       }
+    }
+    std::vector<Matrix> want;
+    for (Matrix* gm : net.Grads()) want.emplace_back(gm->rows(), gm->cols());
+    std::vector<Matrix*> want_ptrs;
+    for (Matrix& m : want) want_ptrs.push_back(&m);
+    for (const GradSink& sink : sinks) {
+      if (sink.size() > 0) sink.AddTo(want_ptrs);
+    }
 
-      std::vector<Mlp::TapeRow> rows;
-      for (size_t r = 0; r < n; ++r) rows.push_back({&batch, r});
-      std::vector<Matrix> got;
-      for (Matrix* gm : net.Grads()) got.emplace_back(gm->rows(), gm->cols());
-      std::vector<Matrix*> got_ptrs;
-      for (Matrix& m : got) got_ptrs.push_back(&m);
-      std::vector<const double*> scratch;
-      net.AccumulateParamGrads(rows, ends, got_ptrs.data(), &scratch);
-      for (size_t i = 0; i < want.size(); ++i) {
-        ExpectSameBits(want[i], got[i], "AccumulateParamGrads");
-      }
+    std::vector<Mlp::TapeRow> rows;
+    for (size_t r = 0; r < n; ++r) rows.push_back({&batch, r});
+    std::vector<Matrix> got;
+    for (Matrix* gm : net.Grads()) got.emplace_back(gm->rows(), gm->cols());
+    std::vector<Matrix*> got_ptrs;
+    for (Matrix& m : got) got_ptrs.push_back(&m);
+    std::vector<const double*> scratch;
+    net.AccumulateParamGrads(rows, ends, got_ptrs.data(), &scratch);
+    for (size_t i = 0; i < want.size(); ++i) {
+      ExpectSameBits(want[i], got[i], "AccumulateParamGrads");
     }
   }
 }

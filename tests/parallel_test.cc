@@ -25,7 +25,6 @@
 #include "harness/context.h"
 #include "harness/evaluate.h"
 #include "models/registry.h"
-#include "nn/kernels.h"
 #include "sql/data_abstract.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -307,76 +306,6 @@ TEST_F(ParallelTest, ShardedBatchedServingMatchesScalarLoop) {
       auto scalar = model->PredictMs(*batch[i].plan, batch[i].env_id);
       ASSERT_TRUE(scalar.ok());
       EXPECT_EQ((*serial)[i], *scalar) << name << " sample " << i;
-    }
-  }
-}
-
-// ----------------------------------------------------------- kernel modes
-
-TEST_F(ParallelTest, KernelDispatchKeepsModelsBitIdentical) {
-  // The register-blocked/fused kernel suite must be invisible to results:
-  // training, serving and reduction under the production dispatch (kAuto)
-  // must match the historical reference loops (kReference — the pre-kernel
-  // code paths, replayed) bit for bit. The reference loops are scalar by
-  // definition, so the comparison runs under the scalar ISA tier; the SIMD
-  // tiers are parity-gated separately (kernels_test, bench_micro --smoke).
-  kernels::ScopedKernelIsa tier(kernels::KernelIsa::kScalar);
-  for (const char* name : {"qppnet", "mscn"}) {
-    std::vector<TrainStats> stats(2);
-    std::vector<std::unique_ptr<CostModel>> models;
-    for (kernels::KernelMode mode :
-         {kernels::KernelMode::kReference, kernels::KernelMode::kAuto}) {
-      kernels::ScopedKernelMode pin(mode);
-      BaseFeaturizer* featurizer = new BaseFeaturizer(ctx_->db->catalog());
-      featurizers_.emplace_back(featurizer);
-      auto model = EstimatorRegistry::Global().Create(
-          name, {ctx_->db->catalog(), featurizer, 83});
-      ASSERT_TRUE(model.ok()) << name;
-      TrainConfig cfg;
-      cfg.epochs = 4;
-      ASSERT_TRUE(
-          (*model)->Train(train_, cfg, &stats[models.size()]).ok())
-          << name;
-      models.push_back(std::move(model.value()));
-    }
-    ASSERT_EQ(stats[0].loss_curve.size(), stats[1].loss_curve.size());
-    for (size_t e = 0; e < stats[0].loss_curve.size(); ++e) {
-      EXPECT_EQ(stats[0].loss_curve[e], stats[1].loss_curve[e])
-          << name << " epoch " << e;
-    }
-    // Batch predictions: reference-mode model served under auto kernels
-    // and vice versa — all four combinations must agree bitwise.
-    std::vector<std::vector<double>> served;
-    for (auto& model : models) {
-      for (kernels::KernelMode mode :
-           {kernels::KernelMode::kReference, kernels::KernelMode::kAuto}) {
-        kernels::ScopedKernelMode pin(mode);
-        auto p = model->PredictBatchMs(test_, nullptr);
-        ASSERT_TRUE(p.ok()) << name;
-        served.push_back(std::move(p.value()));
-      }
-    }
-    for (size_t v = 1; v < served.size(); ++v) {
-      ASSERT_EQ(served[0].size(), served[v].size());
-      for (size_t i = 0; i < served[0].size(); ++i) {
-        EXPECT_EQ(served[0][i], served[v][i])
-            << name << " sample " << i << " variant " << v;
-      }
-    }
-    // Reduction kept-sets through the kernels must not move either.
-    ReductionConfig rcfg;
-    rcfg.algorithm = ReductionAlgorithm::kDiffProp;
-    rcfg.num_references = 16;
-    std::vector<ReductionResult> reductions;
-    for (kernels::KernelMode mode :
-         {kernels::KernelMode::kReference, kernels::KernelMode::kAuto}) {
-      kernels::ScopedKernelMode pin(mode);
-      auto r = ReduceFeatures(*models[0], train_, rcfg, nullptr);
-      ASSERT_TRUE(r.ok()) << name;
-      reductions.push_back(std::move(r.value()));
-    }
-    for (const auto& [op, a] : reductions[0].per_op) {
-      EXPECT_EQ(a.kept, reductions[1].per_op.at(op).kept) << name;
     }
   }
 }

@@ -10,12 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -599,6 +602,75 @@ TEST(PersistTest, CrashConsistencySweepOldArtifactSurvivesEveryFault) {
     ASSERT_TRUE(*after == *v1_bytes) << "tear " << tear;
   }
 
+  ASSERT_TRUE(Fs::Default()->RemoveFile(path).ok());
+}
+
+// ------------------------------------------------------ drift baselines
+
+/// Re-encodes artifact `bytes` with its drift-baseline section replaced by
+/// `entries` (env id, baseline mean q-error). Every section keeps a valid
+/// CRC, so only Load's own validation can reject the table.
+std::string WithBaselines(
+    const std::string& bytes,
+    const std::vector<std::pair<int64_t, double>>& entries) {
+  std::vector<artifact::Section> sections;
+  EXPECT_TRUE(artifact::Decode(bytes, &sections).ok());
+  ByteWriter w;
+  w.PutU64(entries.size());
+  for (const auto& [env_id, q] : entries) {
+    w.PutI64(env_id);
+    w.PutF64(q);
+  }
+  sections.erase(std::remove_if(sections.begin(), sections.end(),
+                                [](const artifact::Section& s) {
+                                  return s.id == artifact::kAdaptBaseline;
+                                }),
+                 sections.end());
+  sections.push_back({artifact::kAdaptBaseline, w.TakeBytes()});
+  return artifact::Encode(sections);
+}
+
+TEST(PersistTest, HostileDriftBaselinesAreDataLoss) {
+  // A NaN baseline would silently disable the mean-ratio drift trip for
+  // its environment (std::max(NaN, 1.0) is NaN, and no mean exceeds a NaN
+  // threshold), and an env id outside int would be truncated onto another
+  // environment. Load must reject both, and a repeated env id, as damage.
+  SharedFixtures* f = Fixtures();
+  const std::string path = TempPath("baselines.qcfa");
+  ASSERT_TRUE(f->qpp->Save(path).ok());
+  auto bytes = Fs::Default()->ReadFile(path);
+  ASSERT_TRUE(bytes.ok());
+  auto load = [&](const std::vector<std::pair<int64_t, double>>& entries) {
+    EXPECT_TRUE(AtomicWriteFile(Fs::Default(), path,
+                                WithBaselines(*bytes, entries))
+                    .ok());
+    return Pipeline::Load(f->ctx->db.get(), &f->ctx->envs,
+                          &f->ctx->templates, path);
+  };
+
+  auto valid = load({{0, 1.25}, {1, 1.0}});
+  ASSERT_TRUE(valid.ok()) << valid.status().ToString();
+  EXPECT_EQ((*valid)->env_baseline_qerror(),
+            (std::map<int, double>{{0, 1.25}, {1, 1.0}}));
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<std::pair<int64_t, double>>> hostile = {
+      {{0, nan}},
+      {{0, 1.5}, {1, nan}},
+      {{0, inf}},
+      {{0, 0.5}},
+      {{0, -1.0}},
+      {{0, 1.5}, {0, 1.5}},
+      {{int64_t{1} << 32, 1.5}},
+      {{std::numeric_limits<int64_t>::min(), 1.5}},
+  };
+  for (size_t i = 0; i < hostile.size(); ++i) {
+    auto loaded = load(hostile[i]);
+    ASSERT_FALSE(loaded.ok()) << "hostile table " << i << " loaded";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+        << "hostile table " << i << ": " << loaded.status().ToString();
+  }
   ASSERT_TRUE(Fs::Default()->RemoveFile(path).ok());
 }
 

@@ -154,12 +154,11 @@ class TrainGoldenTest : public ::testing::Test {
     return h;
   }
 
-  /// Trains under `isa` (auto dispatch) with `chunk_size` at 1, 2 and 4
-  /// threads; every run must match `expected`.
+  /// Trains under `isa` with `chunk_size` at 1, 2 and 4 threads; every run
+  /// must match `expected`.
   static void CheckCase(kernels::KernelIsa isa, size_t chunk_size,
                         const TrainHashes& expected) {
     kernels::ScopedKernelIsa pin(isa);
-    kernels::ScopedKernelMode mode_pin(kernels::KernelMode::kAuto);
     ThreadPool two(2), four(4);
     for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &two, &four}) {
       const size_t threads = pool == nullptr ? 1 : pool->num_workers();
@@ -171,14 +170,13 @@ class TrainGoldenTest : public ::testing::Test {
     }
   }
 
-  /// Trains an MSCN under `isa` (auto dispatch) at 1, 2 and 4 threads, then
-  /// reduces it and a QPPNet with the same pool; the MSCN hashes must match
-  /// `expected` and the two reductions `expected_reduction`.
+  /// Trains an MSCN under `isa` at 1, 2 and 4 threads, then reduces it and
+  /// a QPPNet with the same pool; the MSCN hashes must match `expected` and
+  /// the two reductions `expected_reduction`.
   static void CheckMscnAndReductionCase(kernels::KernelIsa isa,
                                         const TrainHashes& expected,
                                         uint64_t expected_reduction) {
     kernels::ScopedKernelIsa pin(isa);
-    kernels::ScopedKernelMode mode_pin(kernels::KernelMode::kAuto);
     ThreadPool two(2), four(4);
     for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &two, &four}) {
       const size_t threads = pool == nullptr ? 1 : pool->num_workers();
@@ -226,9 +224,8 @@ constexpr TrainHashes kAvx2Chunk1 = {
 constexpr TrainHashes kAvx2Chunk7 = {
     0x9d7b1ff2120a3fbaULL, 0x5d5f772995b899e9ULL, 0xea1d7852939d7477ULL};
 
-// Recorded from the same trainer and reduction as above, under the kernel
-// layer's production dispatch (which the dense, sparse and reference
-// pins reproduce, see KernelModesMatchRecordedHashes).
+// Recorded from the same trainer as above; the reduction hash covers the
+// QPPNet (auto chunk width) and the MSCN, in that order.
 constexpr TrainHashes kScalarMscn = {
     0xf6547c1a10c5c9beULL, 0x01c3241d93d6028aULL, 0x4182449ca914c537ULL};
 constexpr uint64_t kScalarReduction = 0x8d5d9bad37fde6b8ULL;
@@ -262,44 +259,6 @@ TEST_F(TrainGoldenTest, Avx2TierMscnAndReductionMatchRecordedHashes) {
   }
   CheckMscnAndReductionCase(kernels::KernelIsa::kAvx2, kAvx2Mscn,
                             kAvx2Reduction);
-}
-
-// Dispatch never changes bits within a tier: the dense and sparse pins
-// reproduce the tier's hashes, and the reference pin (scalar arithmetic in
-// every tier) reproduces the scalar tier's.
-TEST_F(TrainGoldenTest, KernelModesMatchRecordedHashes) {
-  using kernels::KernelIsa;
-  using kernels::KernelMode;
-  for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
-    if (!kernels::KernelIsaAvailable(isa)) continue;
-    kernels::ScopedKernelIsa pin(isa);
-    const TrainHashes& tier = isa == KernelIsa::kScalar ? kScalarAuto
-                                                        : kAvx2Auto;
-    for (KernelMode mode :
-         {KernelMode::kDense, KernelMode::kSparse, KernelMode::kReference}) {
-      kernels::ScopedKernelMode mode_pin(mode);
-      const TrainHashes& expected =
-          mode == KernelMode::kReference ? kScalarAuto : tier;
-      TrainHashes got = TrainAndHash(0, nullptr);
-      EXPECT_TRUE(got == expected)
-          << kernels::KernelIsaName(isa) << " mode=" << static_cast<int>(mode)
-          << ": got " << Describe(got) << ", expected " << Describe(expected);
-      const bool scalar = mode == KernelMode::kReference ||
-                          isa == KernelIsa::kScalar;
-      Mscn mscn(db_->catalog(), featurizer_, MscnConfig{}, 241);
-      got = TrainTwiceAndHash(&mscn, 0);
-      EXPECT_TRUE(got == (scalar ? kScalarMscn : kAvx2Mscn))
-          << "mscn " << kernels::KernelIsaName(isa)
-          << " mode=" << static_cast<int>(mode) << ": got " << Describe(got);
-      QppNet qpp(featurizer_, QppNetConfig{}, 229);
-      TrainTwiceAndHash(&qpp, 0);
-      EXPECT_EQ(HashReduction(mscn, nullptr,
-                              HashReduction(qpp, nullptr, kFnvBasis)),
-                scalar ? kScalarReduction : kAvx2Reduction)
-          << "reduction " << kernels::KernelIsaName(isa)
-          << " mode=" << static_cast<int>(mode);
-    }
-  }
 }
 
 }  // namespace

@@ -308,6 +308,19 @@ RULES = [
         fix_hint="add the vector path to the matching kernels_simd_*.cc "
                  "tier (or extend the KernelTable with a new slot)",
     ),
+    Rule(
+        "no-raw-getenv",
+        "environment variables are process-global knobs that bypass "
+        "PipelineConfig and make results depend on the shell; src/ reads "
+        "the environment only in util/env_config.cc (QCFE_SCALE, "
+        "QCFE_THREADS) and at the one QCFE_KERNEL_ISA read, which carries "
+        "an allow comment with its reason",
+        [r"\b(std::)?(secure_)?getenv\s*\(", r"\benviron\b"],
+        dirs=("src/",),
+        exempt_files=("src/util/env_config.cc",),
+        fix_hint="add a config field, or route the read through "
+                 "util/env_config",
+    ),
     StatusDiscardRule(
         "unannotated-status-discard",
         "a `(void)` cast on a call silently swallows its Status/Result; "
