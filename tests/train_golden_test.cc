@@ -9,9 +9,10 @@
 /// here as a hash mismatch, so a trainer rewrite that claims bit identity
 /// must leave these constants untouched.
 ///
-/// Each case pins one ISA tier (and, for QPPNet, one chunk width: the
-/// gradient reduction order) and must hash identically at 1, 2 and 4
-/// threads.
+/// Each case pins one ISA tier and one chunk width (the gradient reduction
+/// order; 0 is the autotuned width) and must hash identically at 1, 2 and
+/// 4 threads. Width 7 leaves an uneven tail chunk in every 32-plan batch,
+/// and each epoch's last partial batch leaves another.
 
 #include <gtest/gtest.h>
 
@@ -127,8 +128,14 @@ class TrainGoldenTest : public ::testing::Test {
     return h;
   }
 
-  static TrainHashes TrainAndHash(size_t chunk_size, ThreadPool* pool) {
+  static TrainHashes TrainQppNetAndHash(size_t chunk_size, ThreadPool* pool) {
     QppNet model(featurizer_, QppNetConfig{}, 229);
+    model.set_thread_pool(pool);
+    return TrainTwiceAndHash(&model, chunk_size);
+  }
+
+  static TrainHashes TrainMscnAndHash(size_t chunk_size, ThreadPool* pool) {
+    Mscn model(db_->catalog(), featurizer_, MscnConfig{}, 241);
     model.set_thread_pool(pool);
     return TrainTwiceAndHash(&model, chunk_size);
   }
@@ -154,20 +161,32 @@ class TrainGoldenTest : public ::testing::Test {
     return h;
   }
 
-  /// Trains under `isa` with `chunk_size` at 1, 2 and 4 threads; every run
-  /// must match `expected`.
-  static void CheckCase(kernels::KernelIsa isa, size_t chunk_size,
+  /// Trains `train` (one of the Train*AndHash functions) under `isa` with
+  /// `chunk_size` at 1, 2 and 4 threads; every run must match `expected`.
+  static void CheckCase(const char* model,
+                        TrainHashes (*train)(size_t, ThreadPool*),
+                        kernels::KernelIsa isa, size_t chunk_size,
                         const TrainHashes& expected) {
     kernels::ScopedKernelIsa pin(isa);
     ThreadPool two(2), four(4);
     for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &two, &four}) {
       const size_t threads = pool == nullptr ? 1 : pool->num_workers();
-      TrainHashes got = TrainAndHash(chunk_size, pool);
+      TrainHashes got = train(chunk_size, pool);
       EXPECT_TRUE(got == expected)
-          << kernels::KernelIsaName(isa) << " chunk_size=" << chunk_size
-          << " threads=" << threads << ": got " << Describe(got)
-          << ", expected " << Describe(expected);
+          << model << " " << kernels::KernelIsaName(isa)
+          << " chunk_size=" << chunk_size << " threads=" << threads
+          << ": got " << Describe(got) << ", expected " << Describe(expected);
     }
+  }
+
+  static void CheckQppNetCase(kernels::KernelIsa isa, size_t chunk_size,
+                              const TrainHashes& expected) {
+    CheckCase("qppnet", TrainQppNetAndHash, isa, chunk_size, expected);
+  }
+
+  static void CheckMscnCase(kernels::KernelIsa isa, size_t chunk_size,
+                            const TrainHashes& expected) {
+    CheckCase("mscn", TrainMscnAndHash, isa, chunk_size, expected);
   }
 
   /// Trains an MSCN under `isa` at 1, 2 and 4 threads, then reduces it and
@@ -233,24 +252,38 @@ constexpr TrainHashes kAvx2Mscn = {
     0xe6a310cdea0f827dULL, 0xce902d4e80d0fe83ULL, 0x9e0c15a6d3ede8c6ULL};
 constexpr uint64_t kAvx2Reduction = 0xa2c5ec4810c43dd1ULL;
 
+// MSCN at explicit chunk widths, recorded from the chunk-parallel trainer
+// (one pack, forward and backward per chunk into a private gradient sink
+// per module, the sinks merged in chunk order).
+constexpr TrainHashes kScalarMscnChunk1 = {
+    0xc8d22b38d2099668ULL, 0xd23f1d31f74ebd9eULL, 0x26c5503f0ee04356ULL};
+constexpr TrainHashes kScalarMscnChunk7 = {
+    0xffc8da76d57476c2ULL, 0xa618cad790c518e4ULL, 0xb28c7505f9fb7121ULL};
+constexpr TrainHashes kAvx2MscnChunk1 = {
+    0xf76678d207f1b92dULL, 0xb525c7b94467b627ULL, 0x789327bef08b08a2ULL};
+constexpr TrainHashes kAvx2MscnChunk7 = {
+    0x3ecf1d1899289606ULL, 0xd44585169b048ba7ULL, 0xc610841c8b7e2dcfULL};
+
 TEST_F(TrainGoldenTest, ScalarTierMatchesRecordedHashes) {
-  CheckCase(kernels::KernelIsa::kScalar, 0, kScalarAuto);
-  CheckCase(kernels::KernelIsa::kScalar, 1, kScalarChunk1);
-  CheckCase(kernels::KernelIsa::kScalar, 7, kScalarChunk7);
+  CheckQppNetCase(kernels::KernelIsa::kScalar, 0, kScalarAuto);
+  CheckQppNetCase(kernels::KernelIsa::kScalar, 1, kScalarChunk1);
+  CheckQppNetCase(kernels::KernelIsa::kScalar, 7, kScalarChunk7);
 }
 
 TEST_F(TrainGoldenTest, Avx2TierMatchesRecordedHashes) {
   if (!kernels::KernelIsaAvailable(kernels::KernelIsa::kAvx2)) {
     GTEST_SKIP() << "AVX2 tier not available on this machine";
   }
-  CheckCase(kernels::KernelIsa::kAvx2, 0, kAvx2Auto);
-  CheckCase(kernels::KernelIsa::kAvx2, 1, kAvx2Chunk1);
-  CheckCase(kernels::KernelIsa::kAvx2, 7, kAvx2Chunk7);
+  CheckQppNetCase(kernels::KernelIsa::kAvx2, 0, kAvx2Auto);
+  CheckQppNetCase(kernels::KernelIsa::kAvx2, 1, kAvx2Chunk1);
+  CheckQppNetCase(kernels::KernelIsa::kAvx2, 7, kAvx2Chunk7);
 }
 
 TEST_F(TrainGoldenTest, ScalarTierMscnAndReductionMatchRecordedHashes) {
   CheckMscnAndReductionCase(kernels::KernelIsa::kScalar, kScalarMscn,
                             kScalarReduction);
+  CheckMscnCase(kernels::KernelIsa::kScalar, 1, kScalarMscnChunk1);
+  CheckMscnCase(kernels::KernelIsa::kScalar, 7, kScalarMscnChunk7);
 }
 
 TEST_F(TrainGoldenTest, Avx2TierMscnAndReductionMatchRecordedHashes) {
@@ -259,6 +292,8 @@ TEST_F(TrainGoldenTest, Avx2TierMscnAndReductionMatchRecordedHashes) {
   }
   CheckMscnAndReductionCase(kernels::KernelIsa::kAvx2, kAvx2Mscn,
                             kAvx2Reduction);
+  CheckMscnCase(kernels::KernelIsa::kAvx2, 1, kAvx2MscnChunk1);
+  CheckMscnCase(kernels::KernelIsa::kAvx2, 7, kAvx2MscnChunk7);
 }
 
 }  // namespace
