@@ -848,9 +848,9 @@ BENCHMARK(BM_PipelineFitThreads)
 /// iteration, trained for a fixed epoch budget through the attached pool.
 /// All thread counts produce bit-identical models (fixed chunk partition +
 /// chunk-order reduction), so the sweep isolates pure wall-clock scaling of
-/// Train itself. MSCN backprops a batch's chunks across the pool; QPPNet's
-/// wave-batched trainer runs each batch inline and uses the pool only to
-/// encode plans. The *Threads rows report wall time (UseRealTime):
+/// Train itself. Both batched trainers run each batch inline and use the
+/// pool only to encode plans or queries, so these rows are flat by design.
+/// The *Threads rows report wall time (UseRealTime):
 /// main-thread CPU time would leave out the work done by pool workers.
 template <const char* kModel>
 void BM_TrainThreads(benchmark::State& state) {
@@ -1161,8 +1161,9 @@ BENCHMARK(BM_DiffPropReduction)->Arg(16)->Arg(64);
 // ------------------------------------------------------------ smoke gate
 
 /// End-to-end kernel parity sweep without google-benchmark: every table
-/// slot and dispatched entry point of every available tier, over the
-/// real-shape table plus edge shapes. Counts every mismatch and returns
+/// slot and dispatched entry point of every available tier (the segmented
+/// gradient reductions included), over the real-shape table plus edge
+/// shapes. Counts every mismatch and returns
 /// false if there was one. This is what CI runs as `bench_micro --smoke`.
 bool RunKernelSmoke() {
   using kernels::KernelIsa;
@@ -1278,6 +1279,34 @@ bool RunKernelSmoke() {
       acc = acc_seed;
       kernels::GemmATAccumulate(at_a, b, &acc);
       expect_equal(acc_panel, acc, "GemmATAccumulate vs at_acc_panel");
+
+      // Segmented reductions over the k contraction rows: a single-row
+      // segment, an empty one, then segments of three and a ragged tail.
+      std::vector<size_t> ends;
+      if (s.k > 0) ends = {1, 1};
+      for (size_t e = 4; e < s.k; e += 3) ends.push_back(e);
+      ends.push_back(s.k);
+      Matrix want_seg = acc_seed;
+      kernels::reference::SegmentedATAccumulate(at_a, b, ends, &want_seg);
+      Matrix seg = acc_seed;
+      t.segmented_at_acc(at_a, b, ends.data(), ends.size(), &seg);
+      gate(want_seg, seg, "segmented_at_acc");
+      // Within the tier: one zeroed sink per segment, dispatched.
+      Matrix sink_chain = acc_seed;
+      for (size_t e = 0, begin = 0; e < ends.size(); begin = ends[e++]) {
+        std::vector<size_t> rows;
+        for (size_t r = begin; r < ends[e]; ++r) rows.push_back(r);
+        Matrix sink(s.m, s.n);
+        kernels::GemmATAccumulate(at_a.SelectRows(rows), b.SelectRows(rows),
+                                  &sink);
+        sink_chain.Add(sink);
+      }
+      expect_equal(sink_chain, seg, "segmented_at_acc vs sink per segment");
+      Matrix want_colsum = bias;
+      kernels::reference::SegmentedColSumAccumulate(b, ends, &want_colsum);
+      Matrix colsum = bias;
+      kernels::SegmentedColSumAccumulate(b, ends, &colsum);
+      expect_equal(want_colsum, colsum, "SegmentedColSumAccumulate");
       if (s.k == 0) continue;
       // The rank-1 slot takes single rows: the first row of each operand.
       Matrix a1 = at_a.SelectRows({0});

@@ -11,7 +11,7 @@
 ///       -> ObservationSink (q-error windows + labeled retrain buffer)
 ///       -> DriftDetector (every evaluate_every observations per env)
 ///       -> on trip: background worker runs one adaptation cycle:
-///            Pipeline::Retrain (warm-start, chunk-parallel, deterministic)
+///            Pipeline::Retrain (warm-start, batched, deterministic)
 ///            Pipeline::Save    (atomic, through the Fs seam)
 ///            LoadAndSwap       (bit-parity probe, then RCU publish)
 ///

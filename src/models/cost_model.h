@@ -44,19 +44,17 @@ struct TrainConfig {
   /// are added onto the optimizer-bound gradients in chunk index order.
   /// The partition depends only on batch_size and the resolved chunk_size
   /// — never on the worker count — so the fitted model is bit-identical at
-  /// any thread count. MSCN also backprops the chunks of a batch
-  /// concurrently across the model's thread pool; QPPNet's wave-batched
-  /// trainer runs a whole batch at once, and the width only fixes its
-  /// summation order. Changing the width changes the trained model's bits.
+  /// any thread count. Both models run a whole batch at once (QPPNet wave
+  /// by wave, MSCN as one packed forward and backward), so the width only
+  /// fixes the summation order; it buys no parallelism. Changing the width
+  /// changes the trained model's bits.
   ///
   /// 0 (the default) autotunes: models derive the width from batch_size and
-  /// the measured per-chunk sink-merge cost — the exact count of gradient
-  /// elements a chunk zeroes and merges versus the per-sample backprop
-  /// element count (see ResolveTrainChunkSize). Element counts rather than
-  /// wall timings keep the partition deterministic, so autotuned training
-  /// stays bit-identical across runs and thread counts; small models whose
-  /// merge cost rivals their per-sample compute get wider chunks instead
-  /// of over-chunking at a fixed width.
+  /// a per-chunk sink-merge cost — the exact count of gradient elements a
+  /// separate per-chunk sink would zero and merge versus the per-sample
+  /// backprop element count (see ResolveTrainChunkSize). Element counts
+  /// rather than wall timings keep the partition deterministic, so
+  /// autotuned training stays bit-identical across runs and thread counts.
   size_t chunk_size = 0;
   /// If > 0, evaluate mean q-error on `eval_set` every `eval_every` epochs
   /// (drives the paper's Figure 8 convergence curves).
@@ -187,16 +185,16 @@ double SubtreeLatencyMs(const PlanNode& node);
 constexpr double kTrainFlopsPerParam = 6.0;
 
 /// Resolves TrainConfig::chunk_size, the width that sets the gradient
-/// reduction order (and, for MSCN, also its parallel grain). Explicit
-/// widths pass through; 0 (auto) picks the smallest chunk whose per-chunk
-/// sink overhead (`merge_cost_elems`, the gradient elements zeroed +
-/// merged per chunk) stays under a fixed fraction of the chunk's compute
-/// (`per_sample_cost_elems` per sample), clamped to [1, batch_size]. QPPNet
-/// no longer keeps per-chunk sinks, but still resolves its width with this
-/// cost model: the width is part of what makes a fitted model's bits. All
-/// inputs are deterministic element counts, so the resolved width — and
-/// with it the chunk partition and the trained model — is identical across
-/// runs and thread counts.
+/// summation order; for both models it sets nothing else. Explicit widths
+/// pass through; 0 (auto) picks the smallest chunk whose per-chunk sink
+/// overhead (`merge_cost_elems`, the gradient elements zeroed + merged per
+/// chunk) stays under a fixed fraction of the chunk's compute
+/// (`per_sample_cost_elems` per sample), clamped to [1, batch_size].
+/// Neither batched trainer keeps per-chunk sinks any more, but both still
+/// resolve their width with this cost model: the width is part of what
+/// makes a fitted model's bits. All inputs are deterministic element
+/// counts, so the resolved width — and with it the chunk partition and the
+/// trained model — is identical across runs and thread counts.
 size_t ResolveTrainChunkSize(const TrainConfig& config,
                              double merge_cost_elems,
                              double per_sample_cost_elems);

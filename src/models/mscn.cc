@@ -227,8 +227,9 @@ Matrix SegmentMean(const Matrix& rows, const std::vector<size_t>& offsets,
   return out;
 }
 
-/// Inverse of SegmentMean for gradients.
-void SegmentExpandInto(const Matrix& pooled_grad,
+/// Inverse of SegmentMean for gradients: spreads columns [col0, col0 +
+/// hidden) of the pooled gradient back over each query's rows.
+void SegmentExpandInto(const Matrix& pooled_grad, size_t col0,
                        const std::vector<size_t>& offsets, size_t total_rows,
                        size_t hidden, Matrix* out) {
   out->ResetShape(total_rows, hidden);
@@ -239,7 +240,7 @@ void SegmentExpandInto(const Matrix& pooled_grad,
     double inv = 1.0 / static_cast<double>(count);
     for (size_t r = offsets[q]; r < offsets[q + 1]; ++r) {
       for (size_t c = 0; c < hidden; ++c) {
-        out->At(r, c) = pooled_grad.At(q, c) * inv;
+        out->At(r, c) = pooled_grad.At(q, col0 + c) * inv;
       }
     }
   }
@@ -268,17 +269,17 @@ Matrix ConcatCols(const Matrix& a, const Matrix& b, const Matrix& c) {
 }  // namespace
 
 const Matrix& Mscn::ForwardPacked(const Packed& packed,
-                                  ChunkScratch* scratch) const {
+                                  BatchScratch* scratch) const {
   size_t h = config_.set_hidden;
-  const Matrix& hj = join_net_->Forward(packed.joins, &scratch->tapes.join);
-  const Matrix& hp = pred_net_->Forward(packed.preds, &scratch->tapes.pred);
-  const Matrix& ho = op_net_->Forward(packed.ops, &scratch->tapes.op);
+  const Matrix& hj = join_net_->Forward(packed.joins, &scratch->join_tape);
+  const Matrix& hp = pred_net_->Forward(packed.preds, &scratch->pred_tape);
+  const Matrix& ho = op_net_->Forward(packed.ops, &scratch->op_tape);
   SegmentMeanInto(hj, packed.join_offsets, h, &scratch->pooled_join);
   SegmentMeanInto(hp, packed.pred_offsets, h, &scratch->pooled_pred);
   SegmentMeanInto(ho, packed.op_offsets, h, &scratch->pooled_op);
   ConcatColsInto(scratch->pooled_join, scratch->pooled_pred,
                  scratch->pooled_op, &scratch->concat);
-  return final_net_->Forward(scratch->concat, &scratch->tapes.final_net);
+  return final_net_->Forward(scratch->concat, &scratch->final_tape);
 }
 
 Matrix Mscn::PredictPacked(const Packed& packed) const {
@@ -298,74 +299,70 @@ Matrix Mscn::PredictPacked(const Packed& packed) const {
   return out;
 }
 
-void Mscn::BackwardPacked(const Packed& packed, const Matrix& grad_out,
-                          ChunkScratch* scratch, NetSinks* sinks) const {
-  size_t h = config_.set_hidden;
-  const Matrix& grad_concat = final_net_->Backward(
-      grad_out, &scratch->tapes.final_net, &sinks->final_net);
-  // Split the concat gradient back into the three pooled segments (every
-  // element overwritten, so the split buffers reshape without zeroing).
-  size_t nq = grad_concat.rows();
-  Matrix& gj = scratch->split_join;
-  Matrix& gp = scratch->split_pred;
-  Matrix& go = scratch->split_op;
-  gj.ResetShapeUninitialized(nq, h);
-  gp.ResetShapeUninitialized(nq, h);
-  go.ResetShapeUninitialized(nq, h);
-  for (size_t r = 0; r < nq; ++r) {
-    for (size_t c = 0; c < h; ++c) {
-      gj.At(r, c) = grad_concat.At(r, c);
-      gp.At(r, c) = grad_concat.At(r, h + c);
-      go.At(r, c) = grad_concat.At(r, 2 * h + c);
+void Mscn::RunBatch(const std::vector<EncodedQuery>& encoded,
+                    const std::vector<size_t>& order, size_t start,
+                    size_t end, size_t chunk_size, double inv_batch,
+                    bool reduce, BatchScratch* scratch, double* loss) {
+  BatchScratch& sc = *scratch;
+  sc.refs.clear();
+  for (size_t i = start; i < end; ++i) sc.refs.push_back(&encoded[order[i]]);
+  const Packed& packed = sc.packed;
+  PackInto(sc.refs, &sc.packed);
+  const Matrix& out = ForwardPacked(packed, &sc);
+
+  // Module forwards are row-wise and pooling is per query, so running the
+  // whole batch at once gives every query the forward value (and, below,
+  // the deltas) it had when each chunk ran alone. Only the reductions see
+  // the chunks: the loss and every parameter gradient are summed per chunk
+  // from zero, and the chunk sums added in chunk order.
+  const size_t nq = end - start;
+  sc.grad.ResetShapeUninitialized(nq, 1);
+  sc.query_ends.clear();
+  sc.join_ends.clear();
+  sc.pred_ends.clear();
+  sc.op_ends.clear();
+  for (size_t q0 = 0; q0 < nq; q0 += chunk_size) {
+    const size_t q1 = std::min(q0 + chunk_size, nq);
+    double chunk_loss = 0.0;
+    for (size_t r = q0; r < q1; ++r) {
+      double err = out.At(r, 0) - packed.labels[r];
+      chunk_loss += err * err;
+      sc.grad.At(r, 0) = 2.0 * err * inv_batch;
     }
+    *loss += chunk_loss;
+    sc.query_ends.push_back(q1);
+    sc.join_ends.push_back(packed.join_offsets[q1]);
+    sc.pred_ends.push_back(packed.pred_offsets[q1]);
+    sc.op_ends.push_back(packed.op_offsets[q1]);
   }
-  // One expand buffer serves the three modules in sequence: each module's
-  // Backward has consumed it before the next expand overwrites it.
-  SegmentExpandInto(gj, packed.join_offsets, packed.joins.rows(), h,
-                    &scratch->expand);
-  join_net_->Backward(scratch->expand, &scratch->tapes.join, &sinks->join);
-  SegmentExpandInto(gp, packed.pred_offsets, packed.preds.rows(), h,
-                    &scratch->expand);
-  pred_net_->Backward(scratch->expand, &scratch->tapes.pred, &sinks->pred);
-  SegmentExpandInto(go, packed.op_offsets, packed.ops.rows(), h,
-                    &scratch->expand);
-  op_net_->Backward(scratch->expand, &scratch->tapes.op, &sinks->op);
-}
+  if (!reduce) return;
 
-void Mscn::NetSinks::InitFor(Mscn* model) {
-  join.InitLike(model->join_net_->Grads());
-  pred.InitLike(model->pred_net_->Grads());
-  op.InitLike(model->op_net_->Grads());
-  final_net.InitLike(model->final_net_->Grads());
-}
+  // dL/d(concat) holds the three pooled gradients side by side; each is
+  // expanded onto its module's set elements in turn. One expand buffer
+  // serves the three modules: BackwardDeltas copies it onto the module's
+  // tape before the next expand overwrites it. The set modules' input
+  // gradient is never used, so none is computed.
+  const size_t h = config_.set_hidden;
+  const Matrix& grad_concat =
+      final_net_->BackwardDeltas(sc.grad, &sc.final_tape, 0);
+  SegmentExpandInto(grad_concat, 0, packed.join_offsets, packed.joins.rows(),
+                    h, &sc.expand);
+  join_net_->BackwardDeltas(sc.expand, &sc.join_tape, join_net_->in_dim());
+  SegmentExpandInto(grad_concat, h, packed.pred_offsets, packed.preds.rows(),
+                    h, &sc.expand);
+  pred_net_->BackwardDeltas(sc.expand, &sc.pred_tape, pred_net_->in_dim());
+  SegmentExpandInto(grad_concat, 2 * h, packed.op_offsets, packed.ops.rows(),
+                    h, &sc.expand);
+  op_net_->BackwardDeltas(sc.expand, &sc.op_tape, op_net_->in_dim());
 
-void Mscn::NetSinks::AddTo(Mscn* model) const {
-  join.AddTo(model->join_net_->Grads());
-  pred.AddTo(model->pred_net_->Grads());
-  op.AddTo(model->op_net_->Grads());
-  final_net.AddTo(model->final_net_->Grads());
-}
-
-double Mscn::TrainChunk(const std::vector<EncodedQuery>& encoded,
-                        const std::vector<size_t>& order, size_t start,
-                        size_t end, double inv_batch, ChunkScratch* scratch,
-                        NetSinks* sinks) const {
-  scratch->refs.clear();
-  scratch->refs.reserve(end - start);
-  for (size_t i = start; i < end; ++i) {
-    scratch->refs.push_back(&encoded[order[i]]);
-  }
-  PackInto(scratch->refs, &scratch->packed);
-  const Matrix& out = ForwardPacked(scratch->packed, scratch);
-  scratch->grad.ResetShapeUninitialized(out.rows(), 1);
-  double loss = 0.0;
-  for (size_t r = 0; r < out.rows(); ++r) {
-    double err = out.At(r, 0) - scratch->packed.labels[r];
-    loss += err * err;
-    scratch->grad.At(r, 0) = 2.0 * err * inv_batch;
-  }
-  BackwardPacked(scratch->packed, scratch->grad, scratch, sinks);
-  return loss;
+  auto reduce_into = [](Mlp* net, const Mlp::Tape& tape,
+                        const std::vector<size_t>& ends) {
+    net->AccumulateSegmentedParamGrads(tape, ends, net->Grads().data());
+  };
+  reduce_into(join_net_.get(), sc.join_tape, sc.join_ends);
+  reduce_into(pred_net_.get(), sc.pred_tape, sc.pred_ends);
+  reduce_into(op_net_.get(), sc.op_tape, sc.op_ends);
+  reduce_into(final_net_.get(), sc.final_tape, sc.query_ends);
 }
 
 void Mscn::FitScalers(const std::vector<EncodedQuery>& queries,
@@ -419,11 +416,14 @@ Status Mscn::Train(const std::vector<PlanSample>& train,
   static_cast<AdamOptimizer*>(optimizer_.get())->set_lr(config.learning_rate);
   Rng train_rng(config.seed);
   std::vector<size_t> order(encoded.size());
-  // Chunk autotuning (chunk_size == 0): per-chunk overhead is the gradient
-  // elements all four sinks zero and merge; per-query compute is the
-  // query's set rows x module parameter elements plus one final-module
-  // pass. Exact element counts over the encoded set — deterministic, so
-  // the partition stays thread-count- and run-independent.
+  // Chunk autotuning (chunk_size == 0). The width only fixes the order in
+  // which gradients are summed, but it is part of what makes a fitted
+  // model's bits, so it is still resolved with the cost model it was
+  // introduced under: per-chunk overhead is the gradient elements of all
+  // four modules zeroed and merged once; per-query compute is the query's
+  // set rows x module parameter elements plus one final-module pass. Exact
+  // element counts over the encoded set — deterministic, so the partition
+  // stays thread-count- and run-independent.
   double merge_elems = 0.0;
   double query_elems = 0.0;
   {
@@ -447,15 +447,7 @@ Status Mscn::Train(const std::vector<PlanSample>& train,
   }
   const size_t chunk_size =
       ResolveTrainChunkSize(config, merge_elems, query_elems);
-  // Per-chunk gradient state, reused across batches. The chunk partition
-  // depends only on batch_size and the resolved chunk_size — never on the
-  // worker count — and chunk sinks merge in chunk index order below, which
-  // keeps the fitted model bit-identical at any thread count. Module
-  // forwards are row-wise and pooling is per-query, so chunk boundaries
-  // never change a query's forward value either.
-  std::vector<ChunkScratch> scratch;
-  std::vector<NetSinks> sinks;
-  std::vector<double> chunk_losses;
+  BatchScratch scratch;
 
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     // Per-epoch order from an epoch-keyed Split stream: epoch e's shuffle
@@ -469,22 +461,8 @@ Status Mscn::Train(const std::vector<PlanSample>& train,
       size_t end = std::min(start + config.batch_size, order.size());
       optimizer_->ZeroGrad();
       double inv = 1.0 / static_cast<double>(end - start);
-      size_t num_chunks = (end - start + chunk_size - 1) / chunk_size;
-      if (scratch.size() < num_chunks) scratch.resize(num_chunks);
-      if (sinks.size() < num_chunks) sinks.resize(num_chunks);
-      chunk_losses.assign(num_chunks, 0.0);
-      ParallelFor(pool, num_chunks, [&](size_t c) {
-        sinks[c].InitFor(this);
-        size_t cs = start + c * chunk_size;
-        size_t ce = std::min(cs + chunk_size, end);
-        chunk_losses[c] =
-            TrainChunk(encoded, order, cs, ce, inv, &scratch[c], &sinks[c]);
-      });
-      // Fixed-order reduction: chunk index major, module order minor.
-      for (size_t c = 0; c < num_chunks; ++c) {
-        epoch_loss += chunk_losses[c];
-        sinks[c].AddTo(this);
-      }
+      RunBatch(encoded, order, start, end, chunk_size, inv, /*reduce=*/true,
+               &scratch, &epoch_loss);
       optimizer_->Step();
     }
     if (stats != nullptr) {
@@ -543,12 +521,10 @@ Result<double> Mscn::TrainingLoss(const std::vector<PlanSample>& samples,
     order.push_back(i);
   }
   double inv = 1.0 / static_cast<double>(samples.size());
-  ChunkScratch scratch;
-  NetSinks sinks;
-  sinks.InitFor(this);
-  double loss =
-      TrainChunk(encoded, order, 0, encoded.size(), inv, &scratch, &sinks);
-  if (accumulate_gradients) sinks.AddTo(this);
+  BatchScratch scratch;
+  double loss = 0.0;
+  RunBatch(encoded, order, 0, encoded.size(), encoded.size(), inv,
+           accumulate_gradients, &scratch, &loss);
   return loss * inv;
 }
 

@@ -36,12 +36,15 @@ class Mscn : public CostModel {
        MscnConfig config, uint64_t seed);
 
   std::string name() const override { return "MSCN"; }
-  /// Chunk-parallel training: each epoch's query order (drawn from an
-  /// epoch-keyed Rng::Split stream) is cut into fixed-width chunks
-  /// (TrainConfig::chunk_size) independent of the worker count; each chunk
-  /// packs its queries and backprops into private GradSinks concurrently
-  /// via the attached thread pool, and sinks merge into the optimizer-bound
-  /// gradients in chunk order — bit-identical models at any thread count.
+  /// Batched training: each epoch's query order (drawn from an
+  /// epoch-keyed Rng::Split stream) is cut into optimizer batches, and each
+  /// batch runs as one pack, one taped forward and one backward over all
+  /// of its queries. The parameter gradients are then reduced per chunk
+  /// segment (TrainConfig::chunk_size queries, and their set elements):
+  /// each chunk's sum starts from zero and the sums are added onto the
+  /// optimizer-bound gradients in chunk order. The chunk width only fixes
+  /// that summation order. The attached thread pool only encodes queries,
+  /// so the fitted model is bit-identical at any thread count.
   Status Train(const std::vector<PlanSample>& train, const TrainConfig& config,
                TrainStats* stats) override;
   Result<double> PredictMs(const PlanNode& plan, int env_id) const override;
@@ -118,51 +121,39 @@ class Mscn : public CostModel {
   void PackInto(const std::vector<const EncodedQuery*>& batch,
                 Packed* packed) const;
 
-  /// One forward pass's activation record across the four modules; what
-  /// BackwardPacked consumes instead of per-layer caches.
-  struct NetTapes {
-    Mlp::Tape join, pred, op, final_net;
-  };
-
-  /// One training chunk's reusable scratch arena: the module tapes, the
-  /// packed element matrices and every pooled/concat/split intermediate of
-  /// the chunked forward/backward, reshaped in place across chunks and
-  /// batches so steady-state training never touches the allocator.
-  struct ChunkScratch {
-    NetTapes tapes;
-    Packed packed;
+  /// One optimizer batch's reusable scratch arena: the packed element
+  /// matrices, the module tapes, every pooled/concat/expand intermediate of
+  /// the batched forward/backward and the chunk segment ends, reshaped in
+  /// place across batches so steady-state training never touches the
+  /// allocator.
+  struct BatchScratch {
     std::vector<const EncodedQuery*> refs;
+    Packed packed;
+    Mlp::Tape join_tape, pred_tape, op_tape, final_tape;
     Matrix pooled_join, pooled_pred, pooled_op, concat;  // forward
     Matrix grad;                                         // dL/d(out)
-    Matrix split_join, split_pred, split_op, expand;     // backward
-  };
-
-  /// One training chunk's private gradient state across the four modules.
-  struct NetSinks {
-    GradSink join, pred, op, final_net;
-
-    /// (Re)shapes and zeroes every sink for this model's modules.
-    void InitFor(Mscn* model);
-    /// Merges into the optimizer-bound gradients in fixed module order.
-    void AddTo(Mscn* model) const;
+    Matrix expand;                                       // backward
+    /// Per chunk, the end of its rows in each module's input: queries for
+    /// the final module, set elements for the three set modules.
+    std::vector<size_t> query_ends, join_ends, pred_ends, op_ends;
   };
 
   /// Forward returns per-query predictions (nq x 1) as a reference into
   /// the scratch's final-module tape, recording module activations on the
-  /// scratch's tapes for a subsequent BackwardPacked. Const and
-  /// state-free: concurrent chunks share only the read-only modules.
-  const Matrix& ForwardPacked(const Packed& packed, ChunkScratch* scratch) const;
+  /// scratch's tapes for the backward pass. Const and state-free.
+  const Matrix& ForwardPacked(const Packed& packed, BatchScratch* scratch) const;
   Matrix PredictPacked(const Packed& packed) const;
-  void BackwardPacked(const Packed& packed, const Matrix& grad_out,
-                      ChunkScratch* scratch, NetSinks* sinks) const;
 
-  /// Pack + forward + backward for queries [start, end) of `order`,
-  /// accumulating into `sinks` (seeded with 2 * err * inv_batch per query).
-  /// Returns the chunk's summed squared error.
-  double TrainChunk(const std::vector<EncodedQuery>& encoded,
-                    const std::vector<size_t>& order, size_t start, size_t end,
-                    double inv_batch, ChunkScratch* scratch,
-                    NetSinks* sinks) const;
+  /// Packs queries order[start, end) and runs them forward as one batch,
+  /// cut into `chunk_size`-wide chunks. Each chunk's summed squared error
+  /// starts from zero and is added onto `*loss`, in chunk order. With
+  /// `reduce`, the batch then runs backward (seeded with 2 * err *
+  /// inv_batch per query) and every module's parameter gradients are added
+  /// into Grads(), one chunk segment at a time.
+  void RunBatch(const std::vector<EncodedQuery>& encoded,
+                const std::vector<size_t>& order, size_t start, size_t end,
+                size_t chunk_size, double inv_batch, bool reduce,
+                BatchScratch* scratch, double* loss);
 
   void FitScalers(const std::vector<EncodedQuery>& queries,
                   const std::vector<double>& labels_ms);

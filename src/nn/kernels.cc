@@ -196,11 +196,23 @@ double ZeroFraction(const Matrix& m) {
   // the always-zero pad columns would otherwise inflate the fraction.
   constexpr size_t kMaxProbes = 256;
   const size_t stride = n > kMaxProbes ? n / kMaxProbes : 1;
+  // Probe k sits at logical index k * stride, i.e. (row, col) = (k * stride
+  // / cols, k * stride % cols). Stepping (row, col) by the stride's row and
+  // column parts visits exactly those positions with one division in all.
+  const size_t row_step = stride / cols;
+  const size_t col_step = stride % cols;
+  const size_t rows = m.rows();
   size_t zeros = 0;
   size_t probes = 0;
-  for (size_t i = 0; i < n; i += stride) {
-    zeros += m.At(i / cols, i % cols) == 0.0 ? 1 : 0;
+  size_t col = 0;
+  for (size_t row = 0; row < rows; row += row_step) {
+    zeros += m.RowPtr(row)[col] == 0.0 ? 1 : 0;
     ++probes;
+    col += col_step;
+    if (col >= cols) {
+      col -= cols;
+      ++row;
+    }
   }
   return static_cast<double>(zeros) / static_cast<double>(probes);
 }
@@ -406,11 +418,11 @@ namespace {
 void CheckChunkEnds(size_t rows, const std::vector<size_t>& chunk_ends) {
   size_t prev = 0;
   for (size_t end : chunk_ends) {
-    QCFE_CHECK(end >= prev, "in-order reduction: chunk ends must ascend");
+    QCFE_CHECK(end >= prev, "gradient reduction: chunk ends must ascend");
     prev = end;
   }
   QCFE_CHECK(prev == rows,
-             "in-order reduction: the last chunk end must equal the rows");
+             "gradient reduction: the last chunk end must equal the rows");
 }
 
 }  // namespace
@@ -433,6 +445,27 @@ void InOrderColSumAccumulate(const RowRefs& a,
   CheckChunkEnds(a.count, chunk_ends);
   ActiveTable().in_order_colsum_acc(a, chunk_ends.data(), chunk_ends.size(),
                                     acc);
+}
+
+// ------------------------------------------------- segmented reductions
+
+void SegmentedATAccumulate(const Matrix& a, const Matrix& b,
+                           const std::vector<size_t>& row_ends, Matrix* acc) {
+  QCFE_CHECK(a.rows() == b.rows(), "SegmentedATAccumulate: row-count mismatch");
+  QCFE_CHECK(acc->rows() == a.cols() && acc->cols() == b.cols(),
+             "SegmentedATAccumulate: acc must be pre-shaped to a.cols x b.cols");
+  CheckChunkEnds(a.rows(), row_ends);
+  ActiveTable().segmented_at_acc(a, b, row_ends.data(), row_ends.size(), acc);
+}
+
+void SegmentedColSumAccumulate(const Matrix& a,
+                               const std::vector<size_t>& row_ends,
+                               Matrix* acc) {
+  QCFE_CHECK(acc->rows() == 1 && acc->cols() == a.cols(),
+             "SegmentedColSumAccumulate: acc must be a pre-shaped 1 x a.cols "
+             "row");
+  CheckChunkEnds(a.rows(), row_ends);
+  ActiveTable().segmented_colsum_acc(a, row_ends.data(), row_ends.size(), acc);
 }
 
 // ------------------------------------------------------------ epilogues

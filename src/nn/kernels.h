@@ -247,6 +247,33 @@ void InOrderColSumAccumulate(const RowRefs& a,
                              const std::vector<size_t>& chunk_ends,
                              Matrix* acc);
 
+// ------------------------------------------------- segmented reductions
+// Parameter-gradient reductions over contiguous row segments of one batch.
+// A batched forward/backward leaves every row's activations and deltas in
+// a few large matrices; these kernels reduce them as if each segment had
+// been a separate backward pass into its own zeroed gradient sink, with
+// the sinks added onto `acc` in segment order. Segment s covers rows
+// [row_ends[s-1], row_ends[s]), with row_ends[-1] = 0; the last entry must
+// equal the row count. Unlike the in-order kernels, every segment adds its
+// sink, so an empty segment adds +0.0.
+
+/// acc += the segment-ordered sum of a_s^T * b_s. Each segment's
+/// contraction uses the active tier's GemmATAccumulate arithmetic (an FMA
+/// chain on the AVX2 tier), seeded with +0.0 and summed in ascending row
+/// order. Bit-identical, within a tier and for finite inputs, to zeroing a
+/// sink per segment, calling GemmATAccumulate on that segment's rows, and
+/// adding the sink onto acc. acc must be a.cols x b.cols.
+void SegmentedATAccumulate(const Matrix& a, const Matrix& b,
+                           const std::vector<size_t>& row_ends, Matrix* acc);
+
+/// acc (1 x n) += the segment-ordered sum of each segment's column sums.
+/// Bit-identical to zeroing a sink row per segment, calling
+/// ColSumAccumulate on that segment's rows, and adding the sink onto acc,
+/// in every tier.
+void SegmentedColSumAccumulate(const Matrix& a,
+                               const std::vector<size_t>& row_ends,
+                               Matrix* acc);
+
 // ------------------------------------------------------------ epilogues
 
 /// out = relu(in), elementwise; `out` may alias `in`.
@@ -296,6 +323,14 @@ void InOrderATAccumulate(const RowRefs& a, const RowRefs& b,
 void InOrderColSumAccumulate(const RowRefs& a,
                              const std::vector<size_t>& chunk_ends,
                              Matrix* acc);
+/// The segmented reductions as the loop they replace: per segment, the
+/// rows copied out, one zeroed sink, one GemmATAccumulate /
+/// ColSumAccumulate, then one Add.
+void SegmentedATAccumulate(const Matrix& a, const Matrix& b,
+                           const std::vector<size_t>& row_ends, Matrix* acc);
+void SegmentedColSumAccumulate(const Matrix& a,
+                               const std::vector<size_t>& row_ends,
+                               Matrix* acc);
 }  // namespace reference
 
 }  // namespace kernels

@@ -62,6 +62,13 @@ struct KernelTable {
                           Matrix* acc);
   void (*in_order_colsum_acc)(const RowRefs& a, const size_t* chunk_ends,
                               size_t num_chunks, Matrix* acc);
+  /// Segmented a^T * b / column-sum reductions (kernels.h); the front end
+  /// has validated shapes and segment bounds.
+  void (*segmented_at_acc)(const Matrix& a, const Matrix& b,
+                           const size_t* row_ends, size_t num_segments,
+                           Matrix* acc);
+  void (*segmented_colsum_acc)(const Matrix& a, const size_t* row_ends,
+                               size_t num_segments, Matrix* acc);
   /// One Adam update over flat arrays of length n (bc1/bc2 are the
   /// precomputed bias corrections 1-beta^t). Bit-identical across tiers:
   /// every lane operation (mul/add/div/sqrt) is a single IEEE rounding.
@@ -95,6 +102,11 @@ void ScalarInOrderATAccumulate(const RowRefs& a, const RowRefs& b,
                                Matrix* acc);
 void ScalarInOrderColSumAccumulate(const RowRefs& a, const size_t* chunk_ends,
                                    size_t num_chunks, Matrix* acc);
+
+/// The scalar tier's segmented column sums: plain adds only, so the AVX2
+/// tier reuses them as they are.
+void ScalarSegmentedColSumAccumulate(const Matrix& a, const size_t* row_ends,
+                                     size_t num_segments, Matrix* acc);
 
 /// Separate bias / ReLU passes for paths that accumulate in memory (the
 /// sparse product and the reference loops): identical per-element

@@ -312,6 +312,63 @@ void ColSumAccumulateImpl(const Matrix& a, Matrix* acc) {
   }
 }
 
+/// Segmented a^T * b accumulate: DenseAT's register panel with one
+/// zero-seeded sum per segment, added onto the destination when the
+/// segment's rows are in. Per element that is the chain GemmATAccumulate
+/// runs on the segment's rows alone (ascending rows, zero terms skipped).
+/// Its single add onto a zeroed sink is exact here, since a zero-seeded
+/// mul-then-add chain never ends at -0.0, so the sink step is implicit.
+void SegmentedATAccumulateImpl(const Matrix& a, const Matrix& b,
+                               const size_t* row_ends, size_t num_segments,
+                               Matrix* acc) {
+  const size_t m = a.cols();
+  const size_t n = b.cols();
+  for (size_t i0 = 0; i0 < m; i0 += kMr) {
+    const size_t mr = std::min(kMr, m - i0);
+    for (size_t j0 = 0; j0 < n; j0 += kNr) {
+      const size_t nr = std::min(kNr, n - j0);
+      size_t begin = 0;
+      for (size_t s = 0; s < num_segments; ++s) {
+        const size_t end = row_ends[s];
+        double sum[kMr][kNr] = {{0.0}};
+        if (mr == kMr && nr == kNr) {
+          for (size_t r = begin; r < end; ++r) {
+            const double* __restrict arow = a.RowPtr(r) + i0;
+            const double* __restrict brow = b.RowPtr(r) + j0;
+            double av[kMr];
+            bool any = false;
+            for (size_t ii = 0; ii < kMr; ++ii) {
+              av[ii] = arow[ii];
+              any = any || av[ii] != 0.0;
+            }
+            if (!any) continue;
+            for (size_t ii = 0; ii < kMr; ++ii) {
+              for (size_t jj = 0; jj < kNr; ++jj) {
+                sum[ii][jj] += av[ii] * brow[jj];
+              }
+            }
+          }
+        } else {
+          for (size_t r = begin; r < end; ++r) {
+            const double* __restrict arow = a.RowPtr(r) + i0;
+            const double* __restrict brow = b.RowPtr(r) + j0;
+            for (size_t ii = 0; ii < mr; ++ii) {
+              const double av = arow[ii];
+              if (av == 0.0) continue;
+              for (size_t jj = 0; jj < nr; ++jj) sum[ii][jj] += av * brow[jj];
+            }
+          }
+        }
+        for (size_t ii = 0; ii < mr; ++ii) {
+          double* dst = acc->RowPtr(i0 + ii) + j0;
+          for (size_t jj = 0; jj < nr; ++jj) dst[jj] += sum[ii][jj];
+        }
+        begin = end;
+      }
+    }
+  }
+}
+
 /// Scalar Adam update: two muls + one add per moment, IEEE sqrt/div. The
 /// AVX2 tier replays exactly these operations lane-wise (each a single
 /// rounding), so the optimizer step is bit-identical across tiers.
@@ -403,6 +460,31 @@ void ScalarInOrderColSumAccumulate(const RowRefs& a, const size_t* chunk_ends,
   }
 }
 
+void ScalarSegmentedColSumAccumulate(const Matrix& a, const size_t* row_ends,
+                                     size_t num_segments, Matrix* acc) {
+  // Per segment, ColSumAccumulateImpl's chain: a zero-seeded vertical sum
+  // in ascending row order, added onto the destination once. Such a sum is
+  // never -0.0, so adding it equals adding a zeroed sink that holds it.
+  constexpr size_t kCb = 256;
+  const size_t n = a.cols();
+  double buf[kCb];
+  for (size_t c0 = 0; c0 < n; c0 += kCb) {
+    const size_t cb = std::min(kCb, n - c0);
+    double* dst = acc->RowPtr(0) + c0;
+    size_t begin = 0;
+    for (size_t s = 0; s < num_segments; ++s) {
+      const size_t end = row_ends[s];
+      std::fill(buf, buf + cb, 0.0);
+      for (size_t r = begin; r < end; ++r) {
+        const double* __restrict src = a.RowPtr(r) + c0;
+        for (size_t k = 0; k < cb; ++k) buf[k] += src[k];
+      }
+      for (size_t k = 0; k < cb; ++k) dst[k] += buf[k];
+      begin = end;
+    }
+  }
+}
+
 void BiasPass(const Matrix& bias, Matrix* out) {
   QCFE_CHECK(bias.rows() == 1 && bias.cols() == out->cols(),
              "bias must be a 1 x out-cols row vector");
@@ -431,6 +513,8 @@ const KernelTable& ScalarTable() {
       ColSumAccumulateImpl,  // colsum_acc
       ScalarInOrderATAccumulate,      // in_order_at_acc
       ScalarInOrderColSumAccumulate,  // in_order_colsum_acc
+      SegmentedATAccumulateImpl,        // segmented_at_acc
+      ScalarSegmentedColSumAccumulate,  // segmented_colsum_acc
       AdamStepImpl,          // adam_step
       SgdStepImpl,           // sgd_step
   };
@@ -555,6 +639,44 @@ void InOrderColSumAccumulate(const RowRefs& a,
       std::copy(a.rows[r], a.rows[r] + a.cols, row.RowPtr(0));
       ColSumAccumulate(row, &sink);
     }
+    acc->Add(sink);
+    begin = end;
+  }
+}
+
+namespace {
+
+/// Rows [begin, end) of `m` as a fresh matrix.
+Matrix RowRange(const Matrix& m, size_t begin, size_t end) {
+  Matrix out(end - begin, m.cols());
+  for (size_t r = begin; r < end; ++r) {
+    std::copy(m.RowPtr(r), m.RowPtr(r) + m.cols(), out.RowPtr(r - begin));
+  }
+  return out;
+}
+
+}  // namespace
+
+void SegmentedATAccumulate(const Matrix& a, const Matrix& b,
+                           const std::vector<size_t>& row_ends, Matrix* acc) {
+  Matrix sink(acc->rows(), acc->cols());
+  size_t begin = 0;
+  for (size_t end : row_ends) {
+    sink.Fill(0.0);
+    GemmATAccumulate(RowRange(a, begin, end), RowRange(b, begin, end), &sink);
+    acc->Add(sink);
+    begin = end;
+  }
+}
+
+void SegmentedColSumAccumulate(const Matrix& a,
+                               const std::vector<size_t>& row_ends,
+                               Matrix* acc) {
+  Matrix sink(1, a.cols());
+  size_t begin = 0;
+  for (size_t end : row_ends) {
+    sink.Fill(0.0);
+    ColSumAccumulate(RowRange(a, begin, end), &sink);
     acc->Add(sink);
     begin = end;
   }

@@ -535,6 +535,105 @@ void InOrderATAccumulateImpl(const RowRefs& a, const RowRefs& b,
   }
 }
 
+/// One kRows x 8 output panel of the segmented a^T * b: the destination
+/// panel stays in registers across segments, and each segment's sum is
+/// DenseAT's zero-seeded FMA chain over the segment's rows (rows whose
+/// panel a entries are all zero skipped, which is bit-safe). The sum goes
+/// onto the destination as the reference does it: first into a zeroed sink
+/// (0.0 + sum, which turns an underflowed -0.0 into +0.0), then the sink
+/// onto the destination, each a separate rounding.
+template <size_t kRows>
+void SegmentedATPanel(const Matrix& a, const Matrix& b, const size_t* row_ends,
+                      size_t num_segments, size_t i0, size_t j0, Matrix* acc) {
+  const __m256d zero = _mm256_setzero_pd();
+  __m256d dst0[kRows];
+  __m256d dst1[kRows];
+  for (size_t ii = 0; ii < kRows; ++ii) {
+    const double* dst = acc->RowPtr(i0 + ii) + j0;
+    dst0[ii] = _mm256_loadu_pd(dst);
+    dst1[ii] = _mm256_loadu_pd(dst + 4);
+  }
+  size_t begin = 0;
+  for (size_t s = 0; s < num_segments; ++s) {
+    const size_t end = row_ends[s];
+    __m256d sum0[kRows];
+    __m256d sum1[kRows];
+    for (size_t ii = 0; ii < kRows; ++ii) {
+      sum0[ii] = zero;
+      sum1[ii] = zero;
+    }
+    for (size_t r = begin; r < end; ++r) {
+      const double* arow = a.RowPtr(r) + i0;
+      bool any = false;
+      for (size_t ii = 0; ii < kRows; ++ii) any = any || arow[ii] != 0.0;
+      if (!any) continue;
+      const double* __restrict brow = b.RowPtr(r) + j0;
+      const __m256d bv0 = _mm256_loadu_pd(brow);
+      const __m256d bv1 = _mm256_loadu_pd(brow + 4);
+      for (size_t ii = 0; ii < kRows; ++ii) {
+        const __m256d av = _mm256_set1_pd(arow[ii]);
+        sum0[ii] = _mm256_fmadd_pd(av, bv0, sum0[ii]);
+        sum1[ii] = _mm256_fmadd_pd(av, bv1, sum1[ii]);
+      }
+    }
+    for (size_t ii = 0; ii < kRows; ++ii) {
+      dst0[ii] = _mm256_add_pd(dst0[ii], _mm256_add_pd(zero, sum0[ii]));
+      dst1[ii] = _mm256_add_pd(dst1[ii], _mm256_add_pd(zero, sum1[ii]));
+    }
+    begin = end;
+  }
+  for (size_t ii = 0; ii < kRows; ++ii) {
+    double* dst = acc->RowPtr(i0 + ii) + j0;
+    _mm256_storeu_pd(dst, dst0[ii]);
+    _mm256_storeu_pd(dst + 4, dst1[ii]);
+  }
+}
+
+void SegmentedATAccumulateImpl(const Matrix& a, const Matrix& b,
+                               const size_t* row_ends, size_t num_segments,
+                               Matrix* acc) {
+  const size_t m = a.cols();
+  const size_t n = b.cols();
+  // Panels of kSegRows x 8: the destination and the segment sums both fit
+  // in the 16 ymm registers.
+  constexpr size_t kSegRows = 3;
+  for (size_t i0 = 0; i0 < m; i0 += kSegRows) {
+    const size_t mr = std::min(kSegRows, m - i0);
+    size_t j0 = 0;
+    for (; j0 + kNr <= n; j0 += kNr) {
+      switch (mr) {
+        case 3:
+          SegmentedATPanel<3>(a, b, row_ends, num_segments, i0, j0, acc);
+          break;
+        case 2:
+          SegmentedATPanel<2>(a, b, row_ends, num_segments, i0, j0, acc);
+          break;
+        default:
+          SegmentedATPanel<1>(a, b, row_ends, num_segments, i0, j0, acc);
+          break;
+      }
+    }
+    // Tail columns: the same chain, one element at a time.
+    for (; j0 < n; ++j0) {
+      for (size_t ii = 0; ii < mr; ++ii) {
+        double* dst = acc->RowPtr(i0 + ii) + j0;
+        size_t begin = 0;
+        for (size_t s = 0; s < num_segments; ++s) {
+          const size_t end = row_ends[s];
+          double sum = 0.0;
+          for (size_t r = begin; r < end; ++r) {
+            const double av = a.RowPtr(r)[i0 + ii];
+            if (av == 0.0) continue;
+            sum = std::fma(av, b.RowPtr(r)[j0], sum);
+          }
+          *dst += 0.0 + sum;
+          begin = end;
+        }
+      }
+    }
+  }
+}
+
 void ColSumAccumulateImpl(const Matrix& a, Matrix* acc) {
   const size_t n = a.cols();
   double* dst = acc->RowPtr(0);
@@ -633,6 +732,8 @@ const KernelTable* Avx2Table() {
       ColSumAccumulateImpl,  // colsum_acc
       InOrderATAccumulateImpl,      // in_order_at_acc
       ScalarInOrderColSumAccumulate,  // in_order_colsum_acc
+      SegmentedATAccumulateImpl,        // segmented_at_acc
+      ScalarSegmentedColSumAccumulate,  // segmented_colsum_acc
       AdamStepImpl,          // adam_step
       SgdStepImpl,           // sgd_step
   };

@@ -7,8 +7,8 @@
 /// Backward() consumes the forward input/output the caller recorded on an
 /// Mlp::Tape instead of per-layer caches. That makes backprop reentrant —
 /// any number of threads can run forward/backward through the same layer
-/// concurrently, each with its own tape and gradient sink — which is what
-/// chunk-parallel training relies on.
+/// concurrently, each with its own tape and gradient sink — and lets the
+/// batched trainers keep a whole batch's activations on one tape.
 
 #include <memory>
 #include <vector>

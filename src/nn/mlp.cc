@@ -204,6 +204,28 @@ void Mlp::AccumulateParamGrads(const std::vector<TapeRow>& rows,
   }
 }
 
+void Mlp::AccumulateSegmentedParamGrads(const Tape& tape,
+                                        const std::vector<size_t>& row_ends,
+                                        Matrix* const* grads) const {
+  QCFE_CHECK(tape.activations.size() == layers_.size() + 1 &&
+                 tape.deltas.size() == layers_.size(),
+             "Mlp::AccumulateSegmentedParamGrads: tape has no Forward() + "
+             "BackwardDeltas() record on this network");
+  size_t slot = 0;
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    const Layer& layer = *layers_[i];
+    if (layer.num_param_grads() == 0) continue;
+    QCFE_CHECK(layer.kind() == LayerKind::kLinear,
+               "Mlp::AccumulateSegmentedParamGrads: only Linear layers carry "
+               "params");
+    kernels::SegmentedATAccumulate(tape.activations[i], tape.deltas[i],
+                                   row_ends, grads[slot]);
+    kernels::SegmentedColSumAccumulate(tape.deltas[i], row_ends,
+                                       grads[slot + 1]);
+    slot += layer.num_param_grads();
+  }
+}
+
 Matrix Mlp::InputGradient(const Matrix& input) const {
   Tape tape;
   return InputGradient(input, &tape);

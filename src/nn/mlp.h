@@ -128,6 +128,16 @@ class Mlp {
                             Matrix* const* grads,
                             std::vector<const double*>* scratch) const;
 
+  /// Adds the parameter gradients of one Forward() + BackwardDeltas()
+  /// record into `grads` (Grads() layout), one segment of tape rows at a
+  /// time (kernels::SegmentedATAccumulate): bit-identical to running
+  /// Backward() on each segment's rows alone into a zeroed GradSink and
+  /// adding the sinks onto `grads` in segment order. Segment s covers tape
+  /// rows [row_ends[s-1], row_ends[s]); the last end must be the row count.
+  void AccumulateSegmentedParamGrads(const Tape& tape,
+                                     const std::vector<size_t>& row_ends,
+                                     Matrix* const* grads) const;
+
   /// d(output_0)/d(input) for each sample: runs Forward+Backward with a
   /// one-hot output gradient on a private tape and a null sink, so
   /// optimizer-bound parameter grads are untouched (byte-for-byte).

@@ -20,11 +20,11 @@ class ByteWriter;
 
 /// A caller-owned set of parameter-gradient accumulators, shaped like some
 /// network's Grads() list. Tape-based Mlp::Backward adds into a sink
-/// instead of mutating shared state, so each training chunk can own one:
-/// chunks backprop concurrently into private sinks, and the reduction adds
-/// the sinks into the optimizer-bound gradients in fixed chunk order —
-/// which is what makes chunk-parallel training bit-identical at any thread
-/// count.
+/// instead of mutating shared state. A zeroed sink per chunk, added onto
+/// the optimizer-bound gradients in chunk order, is the reduction the
+/// batched trainers' kernels (Mlp::AccumulateParamGrads,
+/// Mlp::AccumulateSegmentedParamGrads) are defined against and tested
+/// with.
 class GradSink {
  public:
   /// Shapes one zeroed accumulator per entry of `grads` (typically

@@ -7,6 +7,10 @@
 namespace qcfe {
 
 double QError(double actual, double predicted, double floor) {
+  // std::max(NaN, floor) is NaN, and inf / inf is NaN: without this guard a
+  // non-finite input would yield NaN, which every `<` comparison treats as
+  // neither better nor worse than a real error.
+  if (!std::isfinite(actual) || !std::isfinite(predicted)) return HUGE_VAL;
   double a = std::max(actual, floor);
   double p = std::max(predicted, floor);
   return std::max(a / p, p / a);

@@ -3,11 +3,13 @@
 /// raw Layer API, then both estimators' composite training losses (QPPNet's
 /// plan-structured per-node loss, MSCN's pooled set-module loss) against
 /// central differences of TrainingLoss over real workload corpora. These
-/// suites pin the contract chunk-parallel training rests on: backprop reads
-/// only the caller's tape and writes only the caller's sink. QPPNet's
+/// suites pin the contract batched training rests on: backprop reads only
+/// the caller's tape and writes only the caller's sink. QPPNet's
 /// TrainingLoss runs the wave-batched trainer (one batched unit forward and
-/// delta backward per plan wave, then the in-order gradient reduction), so
-/// its check covers that path end to end.
+/// delta backward per plan wave, then the in-order gradient reduction), and
+/// MSCN's runs the batched trainer as a single chunk (one packed forward
+/// and delta backward, then the segmented gradient reduction), so both
+/// checks cover those paths end to end.
 
 #include <gtest/gtest.h>
 

@@ -888,6 +888,266 @@ TEST(InOrderReductionTest, BatchedTapeMatchesOneRowPassesRowForRow) {
   }
 }
 
+// -------------------------------------------------- segmented reductions
+
+/// Random entries with exact zeros and negative zeros beside ordinary
+/// values. Subnormals are left out: an FMA chain whose product underflows
+/// to -0.0 is outside the within-tier dense-vs-sparse contract.
+Matrix SignedZeroMatrix(size_t rows, size_t cols, Rng* rng) {
+  Matrix m(rows, cols);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      const double u = rng->Uniform(0.0, 1.0);
+      double v = rng->Gaussian(0.0, 1.0);
+      if (u < 0.25) {
+        v = 0.0;
+      } else if (u < 0.4) {
+        v = -0.0;
+      }
+      m.At(r, c) = v;
+    }
+  }
+  return m;
+}
+
+/// One-hot rows (a single 1.0 per row, every other entry +0.0 or -0.0):
+/// the set-module input shape that makes GemmATAccumulate dispatch sparse.
+Matrix OneHotMatrix(size_t rows, size_t cols, Rng* rng) {
+  Matrix m(rows, cols);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      m.At(r, c) = rng->Uniform(0.0, 1.0) < 0.3 ? -0.0 : 0.0;
+    }
+    if (cols > 0) m.At(r, static_cast<size_t>(rng->UniformInt(0, cols - 1))) = 1.0;
+  }
+  return m;
+}
+
+Matrix RowRangeOf(const Matrix& m, size_t begin, size_t end) {
+  Matrix out(end - begin, m.cols());
+  for (size_t r = begin; r < end; ++r) {
+    for (size_t c = 0; c < m.cols(); ++c) out.At(r - begin, c) = m.At(r, c);
+  }
+  return out;
+}
+
+using AccumulateFn = void (*)(const Matrix&, const Matrix&, Matrix*);
+
+/// The chain the segmented AT kernel replaces, under the active tier: a
+/// zeroed sink per segment, one GemmATAccumulate (or the given table slot)
+/// over the segment's rows, the sink added onto acc.
+Matrix SinkPerSegmentAT(const Matrix& a, const Matrix& b,
+                        const std::vector<size_t>& ends, Matrix acc,
+                        AccumulateFn accumulate = kernels::GemmATAccumulate) {
+  size_t begin = 0;
+  for (size_t end : ends) {
+    Matrix sink(a.cols(), b.cols());
+    accumulate(RowRangeOf(a, begin, end), RowRangeOf(b, begin, end), &sink);
+    acc.Add(sink);
+    begin = end;
+  }
+  return acc;
+}
+
+Matrix SinkPerSegmentColSum(const Matrix& a, const std::vector<size_t>& ends,
+                            Matrix acc) {
+  size_t begin = 0;
+  for (size_t end : ends) {
+    Matrix sink(1, a.cols());
+    kernels::ColSumAccumulate(RowRangeOf(a, begin, end), &sink);
+    acc.Add(sink);
+    begin = end;
+  }
+  return acc;
+}
+
+enum class SegmentOperand { kSignedZeros, kOneHot, kDense };
+
+struct SegmentCase {
+  size_t rows, m, n;
+  std::vector<size_t> row_ends;
+  SegmentOperand a_kind;
+};
+
+const SegmentCase kSegmentCases[] = {
+    {0, 3, 4, {}, SegmentOperand::kDense},         // no rows, no segments
+    {0, 3, 4, {0, 0}, SegmentOperand::kDense},     // only empty segments
+    {1, 5, 8, {1}, SegmentOperand::kSignedZeros},  // one single-row segment
+    {9, 3, 3, {1, 2, 3, 4, 5, 6, 7, 8, 9}, SegmentOperand::kDense},
+    {7, 13, 17, {2, 2, 5, 7}, SegmentOperand::kSignedZeros},  // empty inside
+    {20, 48, 32, {3, 3, 4, 9, 16, 20}, SegmentOperand::kOneHot},  // join-like
+    {40, 64, 1, {2, 4, 6, 13, 40}, SegmentOperand::kDense},  // final output
+    {34, 81, 50, {1, 6, 9, 9, 12, 20, 34}, SegmentOperand::kSignedZeros},
+    {64, 48, 64, {16, 32, 48, 64}, SegmentOperand::kDense},  // op-like dense
+    {33, 66, 48, {33}, SegmentOperand::kOneHot},  // one segment, sparse
+};
+
+Matrix SegmentOperandMatrix(SegmentOperand kind, size_t rows, size_t cols,
+                            Rng* rng) {
+  switch (kind) {
+    case SegmentOperand::kSignedZeros:
+      return SignedZeroMatrix(rows, cols, rng);
+    case SegmentOperand::kOneHot:
+      return OneHotMatrix(rows, cols, rng);
+    case SegmentOperand::kDense:
+      break;
+  }
+  return RandomMatrix(rows, cols, 0.0, rng);
+}
+
+TEST(SegmentedReductionTest, ATMatchesSinkPerSegmentInEveryTier) {
+  Rng rng(431);
+  for (const SegmentCase& c : kSegmentCases) {
+    Matrix a = SegmentOperandMatrix(c.a_kind, c.rows, c.m, &rng);
+    Matrix b = SignedZeroMatrix(c.rows, c.n, &rng);
+    Matrix acc0 = SignedZeroMatrix(c.m, c.n, &rng);
+    for (KernelIsa isa : AllAvailableTiers()) {
+      ScopedKernelIsa tier(isa);
+      const Matrix want = SinkPerSegmentAT(a, b, c.row_ends, acc0);
+      Matrix got = acc0;
+      kernels::SegmentedATAccumulate(a, b, c.row_ends, &got);
+      ExpectSameBits(want, got, "SegmentedATAccumulate");
+      Matrix slot = acc0;
+      ActiveTable().segmented_at_acc(a, b, c.row_ends.data(),
+                                     c.row_ends.size(), &slot);
+      ExpectSameBits(want, slot, "segmented_at_acc slot");
+      // Whichever way GemmATAccumulate dispatches a segment, the panel and
+      // the sparse slot give the same chain.
+      ExpectSameBits(want,
+                     SinkPerSegmentAT(a, b, c.row_ends, acc0,
+                                      ActiveTable().at_acc_panel),
+                     "at_acc_panel per segment");
+      ExpectSameBits(want,
+                     SinkPerSegmentAT(a, b, c.row_ends, acc0,
+                                      ActiveTable().at_acc_sparse),
+                     "at_acc_sparse per segment");
+      if (isa == KernelIsa::kScalar) {
+        Matrix ref = acc0;
+        kernels::reference::SegmentedATAccumulate(a, b, c.row_ends, &ref);
+        ExpectSameBits(want, ref, "reference::SegmentedATAccumulate");
+      }
+    }
+  }
+}
+
+TEST(SegmentedReductionTest, ColSumMatchesSinkPerSegmentInEveryTier) {
+  Rng rng(433);
+  for (const SegmentCase& c : kSegmentCases) {
+    Matrix a = SegmentOperandMatrix(c.a_kind, c.rows, c.n, &rng);
+    Matrix acc0 = SignedZeroMatrix(1, c.n, &rng);
+    // Plain adds only: the scalar chain fixes the bits for every tier.
+    Matrix want;
+    {
+      ScopedKernelIsa tier(KernelIsa::kScalar);
+      want = SinkPerSegmentColSum(a, c.row_ends, acc0);
+    }
+    Matrix ref = acc0;
+    kernels::reference::SegmentedColSumAccumulate(a, c.row_ends, &ref);
+    ExpectSameBits(want, ref, "reference::SegmentedColSumAccumulate");
+    for (KernelIsa isa : AllAvailableTiers()) {
+      ScopedKernelIsa tier(isa);
+      ExpectSameBits(want, SinkPerSegmentColSum(a, c.row_ends, acc0),
+                     "ColSumAccumulate per segment");
+      Matrix got = acc0;
+      kernels::SegmentedColSumAccumulate(a, c.row_ends, &got);
+      ExpectSameBits(want, got, "SegmentedColSumAccumulate");
+    }
+  }
+}
+
+TEST(SegmentedReductionTest, EmptySegmentAddsPositiveZero) {
+  // A zeroed sink added onto -0.0 gives +0.0, so an empty segment is not a
+  // no-op: it must match the sink-per-segment chain exactly.
+  for (KernelIsa isa : AllAvailableTiers()) {
+    ScopedKernelIsa tier(isa);
+    Matrix a(0, 2), b(0, 9);
+    Matrix acc(2, 9);
+    acc.At(1, 8) = -0.0;
+    kernels::SegmentedATAccumulate(a, b, {0}, &acc);
+    EXPECT_FALSE(std::signbit(acc.At(1, 8)));
+    Matrix row(1, 9);
+    row.At(0, 3) = -0.0;
+    kernels::SegmentedColSumAccumulate(b, {0, 0}, &row);
+    EXPECT_FALSE(std::signbit(row.At(0, 3)));
+  }
+}
+
+/// The batched-training contract MSCN relies on: one N-row taped forward
+/// and BackwardDeltas, reduced by AccumulateSegmentedParamGrads, equals a
+/// Backward over each segment's rows alone into a zeroed GradSink, the
+/// sinks added in segment order.
+TEST(SegmentedReductionTest, BatchedTapeMatchesBackwardPerSegment) {
+  Rng rng(439);
+  Mlp net({13, 16, 16, 4}, Activation::kRelu, &rng);
+  const size_t n = 11;
+  Matrix x = SignedZeroMatrix(n, 13, &rng);
+  Matrix g = SignedZeroMatrix(n, 4, &rng);
+  const std::vector<size_t> ends = {1, 3, 3, 7, 11};
+  for (KernelIsa isa : AllAvailableTiers()) {
+    ScopedKernelIsa tier(isa);
+    std::vector<Matrix> want;
+    for (Matrix* gm : net.Grads()) want.emplace_back(gm->rows(), gm->cols());
+    std::vector<Matrix*> want_ptrs;
+    for (Matrix& m : want) want_ptrs.push_back(&m);
+    size_t begin = 0;
+    for (size_t end : ends) {
+      GradSink sink;
+      sink.InitLike(net.Grads());
+      Mlp::Tape tape;
+      net.Forward(RowRangeOf(x, begin, end), &tape);
+      net.Backward(RowRangeOf(g, begin, end), &tape, &sink);
+      sink.AddTo(want_ptrs);
+      begin = end;
+    }
+
+    Mlp::Tape batch;
+    net.Forward(x, &batch);
+    EXPECT_EQ(net.BackwardDeltas(g, &batch, net.in_dim()).cols(), 0u);
+    std::vector<Matrix> got;
+    for (Matrix* gm : net.Grads()) got.emplace_back(gm->rows(), gm->cols());
+    std::vector<Matrix*> got_ptrs;
+    for (Matrix& m : got) got_ptrs.push_back(&m);
+    net.AccumulateSegmentedParamGrads(batch, ends, got_ptrs.data());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ExpectSameBits(want[i], got[i], "AccumulateSegmentedParamGrads");
+    }
+  }
+}
+
+// ------------------------------------------------------ dispatch sampling
+
+/// ZeroFraction's historical sampler: one division and one modulo per
+/// probe. The incremental walk must visit exactly the same positions.
+double ZeroFractionByDivision(const Matrix& m) {
+  const size_t cols = m.cols();
+  const size_t n = m.rows() * cols;
+  if (n == 0) return 0.0;
+  const size_t stride = n > 256 ? n / 256 : 1;
+  size_t zeros = 0;
+  size_t probes = 0;
+  for (size_t i = 0; i < n; i += stride) {
+    zeros += m.At(i / cols, i % cols) == 0.0 ? 1 : 0;
+    ++probes;
+  }
+  return static_cast<double>(zeros) / static_cast<double>(probes);
+}
+
+TEST(ZeroFractionTest, IncrementalWalkMatchesDivisionSampler) {
+  Rng rng(443);
+  const size_t dims[] = {1, 2, 3, 7, 8, 16, 33, 48, 58, 66, 255, 256, 257, 1000};
+  for (size_t rows : dims) {
+    for (size_t cols : dims) {
+      if (rows * cols > 70000) continue;
+      const double sparsity = rng.Uniform(0.0, 1.0);
+      Matrix m = RandomMatrix(rows, cols, sparsity, &rng);
+      EXPECT_EQ(kernels::ZeroFraction(m), ZeroFractionByDivision(m))
+          << rows << " x " << cols;
+    }
+  }
+  EXPECT_EQ(kernels::ZeroFraction(Matrix(0, 5)), 0.0);
+  EXPECT_EQ(kernels::ZeroFraction(Matrix(5, 0)), 0.0);
+}
+
 // ------------------------------------------------------- chunk autotuning
 
 TEST(ChunkAutotuneTest, ExplicitChunkSizePassesThrough) {

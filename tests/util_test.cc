@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -309,6 +310,37 @@ TEST(StatsTest, QErrorClampsNonPositive) {
   double q = QError(10.0, -5.0);
   EXPECT_TRUE(std::isfinite(q));
   EXPECT_GT(q, 1.0);
+}
+
+TEST(StatsTest, QErrorOfNaNIsInfiniteInEitherPosition) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(QError(nan, 10.0), inf);
+  EXPECT_EQ(QError(10.0, nan), inf);
+  EXPECT_EQ(QError(nan, nan), inf);
+  EXPECT_EQ(QError(nan, -5.0), inf);
+  EXPECT_EQ(QError(-5.0, nan), inf);
+}
+
+TEST(StatsTest, QErrorOfInfinityIsInfiniteInEitherPosition) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(QError(inf, 10.0), inf);
+  EXPECT_EQ(QError(10.0, inf), inf);
+  EXPECT_EQ(QError(-inf, 10.0), inf);
+  EXPECT_EQ(QError(10.0, -inf), inf);
+  // inf / inf would be NaN without the guard.
+  EXPECT_EQ(QError(inf, inf), inf);
+  EXPECT_EQ(QError(-inf, -inf), inf);
+  EXPECT_EQ(QError(inf, -inf), inf);
+}
+
+TEST(StatsTest, QErrorOfNonFiniteInputRanksWorstAndKeepsTheMeanOrdered) {
+  // A non-finite score must lose every `<` comparison against a finite one
+  // (the diff-prop candidate argmin relies on this).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_LT(QError(10.0, 1e300), QError(10.0, nan));
+  EXPECT_LT(Mean(QErrors({10.0, 10.0}, {10.0, 20.0})),
+            Mean(QErrors({10.0, 10.0}, {10.0, nan})));
 }
 
 TEST(StatsTest, QErrorAlwaysAtLeastOne) {
